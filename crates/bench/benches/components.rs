@@ -52,6 +52,19 @@ fn bench_graph(c: &mut Criterion) {
             b.iter(|| black_box(dijkstra(graph, 0).eccentricity()));
         });
     }
+    // The exact threshold is near-linear, so it also covers the swarm
+    // sizes an all-pairs pass could not afford.
+    g.sample_size(10);
+    for &n in &[10_000usize, 100_000] {
+        let pts = points(n, (n as f64).sqrt());
+        g.bench_with_input(
+            BenchmarkId::new("connectivity_threshold", n),
+            &pts,
+            |b, pts| {
+                b.iter(|| black_box(connectivity_threshold(pts)));
+            },
+        );
+    }
     g.finish();
 }
 

@@ -125,10 +125,12 @@ pub struct SingleRun {
     pub schedule: Schedule,
 }
 
-/// The input tuple a simulated job hands to its algorithm: the scale
-/// families declare `ℓ` (skipping the `O(n²)` exact-threshold pass, which
-/// 10⁶-robot instances cannot afford) with `ρ` from an `O(n)` radius scan;
-/// every other scenario computes its exact canonical tuple.
+/// The tuple a job reports and (for the distributed algorithms) hands to
+/// its algorithm: the scale families take their declared `ℓ` — the
+/// paper's input convention, pinning one schedule per family member —
+/// with `ρ` from an `O(n)` radius scan; every other scenario computes its
+/// exact canonical tuple. Central and distributed jobs share this one
+/// rule, so paired records report the same `ℓ` and `ρ`.
 ///
 /// # Errors
 ///
@@ -710,7 +712,7 @@ fn central_job(
         }
         AlgSpec::Distributed { .. } => unreachable!("routed to run_single"),
     };
-    let tuple = inst.admissible_tuple();
+    let tuple = tuple_for(spec, &inst, pool)?;
     Ok((inst.n(), tuple.ell, tuple.rho, makespan, total))
 }
 
@@ -1074,6 +1076,31 @@ mod tests {
         assert!(opt > 0.0);
         assert!(results[0].makespan >= opt - 1e-9, "quadtree beats optimal?");
         assert!(results[1].makespan >= opt - 1e-9, "greedy beats optimal?");
+    }
+
+    #[test]
+    fn central_and_distributed_jobs_report_one_scale_family_tuple() {
+        // A scale family declares ℓ: the central baseline must report the
+        // tuple its paired distributed run was handed, not the exact ℓ*.
+        let spec = ScenarioSpec::new("uniform_1m")
+            .with("n", 300.0)
+            .with("radius", 10.0);
+        let plan = ExperimentPlan::new("paired")
+            .scenario(spec.clone())
+            .algorithm(Algorithm::Grid)
+            .algorithm(AlgSpec::Central(WakeStrategy::Greedy));
+        let results = run_plan(&plan, 1).unwrap();
+        assert_eq!(results.len(), 2);
+        let (grid, central) = (&results[0], &results[1]);
+        assert_eq!(grid.ell, 4.0, "the family's declared ℓ");
+        assert_eq!(central.ell.to_bits(), grid.ell.to_bits());
+        assert_eq!(central.rho.to_bits(), grid.rho.to_bits());
+        let inst = registry::build_instance(&spec.generator, &spec.params, grid.seed).unwrap();
+        assert_ne!(
+            inst.admissible_tuple().ell,
+            grid.ell,
+            "the exact ℓ* must differ, or this test pins nothing"
+        );
     }
 
     #[test]

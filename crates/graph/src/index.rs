@@ -279,6 +279,37 @@ impl GridIndex {
             + self.window.as_ref().map_or(0, |w| w.ids.len() * 4)
     }
 
+    /// Point indices bucketed in cell `cid`, ascending.
+    fn members(&self, cid: u32) -> &[u32] {
+        &self.order[self.starts[cid as usize] as usize..self.starts[cid as usize + 1] as usize]
+    }
+
+    /// Calls `f(key, members)` once per occupied cell (in directory
+    /// order): the hook for cell-level passes such as the connectivity
+    /// threshold's, which pair up whole cells instead of querying points.
+    pub(crate) fn for_each_cell(&self, mut f: impl FnMut((i64, i64), &[u32])) {
+        self.cells.for_each(|key, cid| f(key, self.members(cid)));
+    }
+
+    /// The points bucketed in the cell with `key` (empty when unoccupied).
+    pub(crate) fn cell_members(&self, key: (i64, i64)) -> &[u32] {
+        let cid = match &self.window {
+            Some(win) => {
+                let (i, j) = (key.0 - win.min.0, key.1 - win.min.1);
+                if i < 0 || j < 0 || i >= win.w || j >= win.h {
+                    return &[];
+                }
+                win.ids[(j * win.w + i) as usize]
+            }
+            None => self.cells.get(key).unwrap_or(EMPTY),
+        };
+        if cid == EMPTY {
+            &[]
+        } else {
+            self.members(cid)
+        }
+    }
+
     /// Appends the in-range points of cell `cid` to `out`: one contiguous
     /// membership-kernel scan over the cell's coordinate slice.
     #[inline]

@@ -1,4 +1,4 @@
-use crate::{dijkstra, DiskGraph};
+use crate::{dijkstra, DiskGraph, GridIndex, UnionFind};
 use freezetag_geometry::Point;
 
 /// Radius `ρ*`: the largest distance from `points[source]` to any other
@@ -13,45 +13,174 @@ pub fn radius(points: &[Point], source: usize) -> f64 {
 }
 
 /// Connectivity threshold `ℓ*`: the least `δ` such that the δ-disk graph of
-/// the point set is connected. This is the bottleneck (largest) edge of a
-/// minimum spanning tree, computed with Prim's algorithm in `O(n²)` time —
-/// exact, and fast enough for the swarm sizes of the benchmarks.
+/// the point set is connected — the bottleneck (largest) edge of a minimum
+/// spanning tree, returned as the exact [`Point::dist`] of that edge.
 ///
-/// Returns 0 for empty or singleton sets.
+/// Near-linear on the benchmark's point sets. A doubling search from the
+/// density estimate `sqrt(area / n)` brackets `ℓ*` in `(lo, 2·lo]` with
+/// grid connectivity tests; Kruskal then joins the components of the
+/// `lo`-disk graph using only the cross-component pairs no longer than
+/// `2·lo`. Every step decides with the definition's own `dist ≤ δ`
+/// predicate, so the value is bit-identical to an `O(n²)` Prim pass over
+/// all pairs (the unit tests keep Prim as the oracle). Point sets whose
+/// bottleneck is contested by many near-equal pairs between two dense
+/// clusters degrade towards quadratic distance work, never beyond it.
+///
+/// Returns 0 for empty, singleton and all-coincident sets.
 pub fn connectivity_threshold(points: &[Point]) -> f64 {
-    let n = points.len();
-    if n <= 1 {
+    if points.len() <= 1 {
         return 0.0;
     }
-    let mut in_tree = vec![false; n];
-    let mut best = vec![f64::INFINITY; n];
-    in_tree[0] = true;
-    for (i, b) in best.iter_mut().enumerate().skip(1) {
-        *b = points[i].dist(points[0]);
+    let (mut min, mut max) = (points[0], points[0]);
+    for p in points {
+        min = Point::new(min.x.min(p.x), min.y.min(p.y));
+        max = Point::new(max.x.max(p.x), max.y.max(p.y));
     }
-    let mut bottleneck: f64 = 0.0;
-    for _ in 1..n {
-        let mut v = usize::MAX;
-        let mut vd = f64::INFINITY;
-        for u in 0..n {
-            if !in_tree[u] && best[u] < vd {
-                vd = best[u];
-                v = u;
+    let (w, h) = (max.x - min.x, max.y - min.y);
+    if w == 0.0 && h == 0.0 {
+        return 0.0;
+    }
+    let n = points.len() as f64;
+    // Density estimate, floored at the spread over n for (near-)collinear
+    // sets whose box has no area.
+    let delta = ((w / n).sqrt() * h.sqrt()).max(w.max(h) / n);
+    // Bucket relative to the bounding-box corner. Every tested δ is at
+    // least max(w, h) / 2n (a spanning tree crosses the box in n - 1
+    // hops of length ≤ ℓ*), so cell keys stay below ~4n and their
+    // rounding error stays a vanishing fraction of a cell at any offset.
+    let local: Vec<Point> = points.iter().map(|&p| p - min).collect();
+    let mut test = Layer::build(points, &local, delta);
+    let below = if test.connected {
+        loop {
+            test = Layer::build(points, &local, 0.5 * test.delta);
+            if !test.connected {
+                break test;
             }
         }
-        debug_assert!(v != usize::MAX, "disconnected complete graph impossible");
-        in_tree[v] = true;
-        bottleneck = bottleneck.max(vd);
-        for u in 0..n {
-            if !in_tree[u] {
-                let d = points[u].dist(points[v]);
-                if d < best[u] {
-                    best[u] = d;
+    } else {
+        loop {
+            let up = Layer::build(points, &local, 2.0 * test.delta);
+            if up.connected {
+                break test;
+            }
+            test = up;
+        }
+    };
+    below.bottleneck_within_twice(points)
+}
+
+/// The δ-disk graph's components, found on a grid of δ/2-wide cells.
+///
+/// A cell's diagonal (≈ 0.71 δ) is within reach, so every cell is a
+/// clique: its points are merged without a distance check, and two cells
+/// are merged at their first pair with `dist ≤ δ`.
+struct Layer {
+    delta: f64,
+    grid: GridIndex,
+    /// Components of the δ-disk graph over the point indices.
+    components: UnionFind,
+    connected: bool,
+}
+
+impl Layer {
+    fn build(points: &[Point], local: &[Point], delta: f64) -> Layer {
+        let grid = GridIndex::build(local, 0.5 * delta);
+        let mut uf = UnionFind::new(points.len());
+        grid.for_each_cell(|_, cell| {
+            for &p in &cell[1..] {
+                uf.union(cell[0] as usize, p as usize);
+            }
+        });
+        let reach = forward_window(2);
+        grid.for_each_cell(|key, a| {
+            for &(di, dj) in &reach {
+                if uf.components() == 1 {
+                    return;
+                }
+                let b = grid.cell_members((key.0 + di, key.1 + dj));
+                if b.is_empty() || uf.connected(a[0] as usize, b[0] as usize) {
+                    continue;
+                }
+                let linked = a.iter().any(|&p| {
+                    b.iter()
+                        .any(|&q| points[p as usize].dist(points[q as usize]) <= delta)
+                });
+                if linked {
+                    uf.union(a[0] as usize, b[0] as usize);
+                }
+            }
+        });
+        Layer {
+            delta,
+            grid,
+            connected: uf.components() == 1,
+            components: uf,
+        }
+    }
+
+    /// `ℓ*` for a disconnected layer whose doubled `δ` connects: Kruskal
+    /// over the layer's components with the shortest pair of every
+    /// cross-component cell pair within `2δ` as the candidate edges. Both
+    /// cells of a pair are cliques of the layer, so no other pair of theirs
+    /// can matter.
+    fn bottleneck_within_twice(self, points: &[Point]) -> f64 {
+        let Layer {
+            delta,
+            grid,
+            components: mut uf,
+            ..
+        } = self;
+        let hi = 2.0 * delta;
+        let mut edges: Vec<(f64, u32, u32)> = Vec::new();
+        // 2δ spans four δ/2-wide cells.
+        let reach = forward_window(4);
+        grid.for_each_cell(|key, a| {
+            for &(di, dj) in &reach {
+                let b = grid.cell_members((key.0 + di, key.1 + dj));
+                if b.is_empty() || uf.connected(a[0] as usize, b[0] as usize) {
+                    continue;
+                }
+                let shortest = a
+                    .iter()
+                    .flat_map(|&p| b.iter().map(move |&q| (p, q)))
+                    .map(|(p, q)| points[p as usize].dist(points[q as usize]))
+                    .fold(f64::INFINITY, f64::min);
+                if shortest <= hi {
+                    edges.push((shortest, a[0], b[0]));
+                }
+            }
+        });
+        edges.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+        let mut bottleneck = 0.0;
+        for (d, a, b) in edges {
+            if uf.union(a as usize, b as usize) {
+                bottleneck = d;
+                if uf.components() == 1 {
+                    break;
                 }
             }
         }
+        debug_assert_eq!(uf.components(), 1, "2δ-disk graph must connect");
+        bottleneck
     }
-    bottleneck
+}
+
+/// Cell offsets `(di, dj)`, one per unordered pair of distinct cells, that
+/// can hold two points within `reach` cell widths of each other. Two cells
+/// `d` apart along an axis hold points more than `d - 1` widths apart on
+/// it; the extra ring (`|d| = reach + 1`) absorbs the key rounding of a
+/// pair that sits exactly `reach` widths apart.
+fn forward_window(reach: i64) -> Vec<(i64, i64)> {
+    let gap = |d: i64| (d.abs() - 1).max(0);
+    let mut out = Vec::new();
+    for dj in 0..=reach + 1 {
+        for di in -(reach + 1)..=reach + 1 {
+            if (dj > 0 || di > 0) && gap(di).pow(2) + gap(dj).pow(2) <= reach * reach {
+                out.push((di, dj));
+            }
+        }
+    }
+    out
 }
 
 /// ℓ-eccentricity `ξ_ℓ`: the minimum weighted depth of a spanning tree of
@@ -139,6 +268,221 @@ impl InstanceParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Prim's `O(n²)` pass over all pairs — the implementation the grid
+    /// algorithm replaced, kept as its bit-exact oracle.
+    fn prim_threshold(points: &[Point]) -> f64 {
+        let n = points.len();
+        if n <= 1 {
+            return 0.0;
+        }
+        let mut in_tree = vec![false; n];
+        let mut best: Vec<f64> = points.iter().map(|p| p.dist(points[0])).collect();
+        in_tree[0] = true;
+        let mut bottleneck: f64 = 0.0;
+        for _ in 1..n {
+            let v = (0..n)
+                .filter(|&u| !in_tree[u])
+                .min_by(|&a, &b| best[a].total_cmp(&best[b]))
+                .expect("a vertex outside the tree");
+            in_tree[v] = true;
+            bottleneck = bottleneck.max(best[v]);
+            for u in 0..n {
+                if !in_tree[u] {
+                    best[u] = best[u].min(points[u].dist(points[v]));
+                }
+            }
+        }
+        bottleneck
+    }
+
+    fn assert_oracle(points: &[Point]) {
+        let (got, want) = (connectivity_threshold(points), prim_threshold(points));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "grid {got:e} vs Prim {want:e} on {} points",
+            points.len()
+        );
+    }
+
+    /// A splitmix64 stream in `[0, 1)` for the oracle fixtures.
+    fn unit_stream(seed: u64) -> impl FnMut() -> f64 {
+        let mut s = seed;
+        move || {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        }
+    }
+
+    fn scattered(n: usize, side: f64, seed: u64) -> Vec<Point> {
+        let mut u = unit_stream(seed);
+        (0..n).map(|_| Point::new(u() * side, u() * side)).collect()
+    }
+
+    #[test]
+    fn oracle_on_empty_singleton_and_pairs() {
+        assert_oracle(&[]);
+        assert_oracle(&[Point::new(3.0, -2.0)]);
+        let a = Point::new(-7.25, 1.5);
+        for b in [
+            a,
+            Point::new(-7.25, 4.0),
+            Point::new(1e-300, 0.0),
+            Point::new(1e9, -1e9),
+            Point::new(-7.25 + 1e-6, 1.5),
+        ] {
+            assert_oracle(&[a, b]);
+            assert_oracle(&[b, a]);
+        }
+    }
+
+    #[test]
+    fn oracle_on_coincident_points() {
+        for n in [2, 3, 40] {
+            let same = vec![Point::new(4.25, -1.5); n];
+            assert_oracle(&same);
+            assert_eq!(connectivity_threshold(&same), 0.0);
+        }
+        // Every point doubled or tripled, and a coincident pair far out.
+        for seed in 0..20 {
+            let base = scattered(30, 10.0, seed);
+            let mut pts: Vec<Point> = base
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &p)| std::iter::repeat_n(p, 1 + i % 3))
+                .collect();
+            assert_oracle(&pts);
+            pts.extend([Point::new(500.0, 500.0); 2]);
+            assert_oracle(&pts);
+        }
+    }
+
+    #[test]
+    fn oracle_on_collinear_points() {
+        for seed in 0..20 {
+            let mut u = unit_stream(seed);
+            let ts: Vec<f64> = (0..50).map(|_| u() * 40.0 - 20.0).collect();
+            let lines: [&dyn Fn(f64) -> Point; 4] = [
+                &|t| Point::new(t, 0.0),
+                &|t| Point::new(-3.0, t),
+                &|t| Point::new(t, 2.0 * t + 1.0),
+                &|t| Point::new(1e6 + t, 1e6 - t),
+            ];
+            for line in lines {
+                assert_oracle(&ts.iter().map(|&t| line(t)).collect::<Vec<_>>());
+            }
+            // Evenly spaced: every MST edge ties.
+            assert_oracle(
+                &(0..50)
+                    .map(|i| Point::new(0.5 * i as f64, 0.0))
+                    .collect::<Vec<_>>(),
+            );
+        }
+    }
+
+    #[test]
+    fn oracle_on_integer_lattices() {
+        for side in 1..=12 {
+            for spacing in [1.0, 0.5, 1.5, 3.0] {
+                let lattice: Vec<Point> = (0..side * side)
+                    .map(|k| Point::new((k % side) as f64 * spacing, (k / side) as f64 * spacing))
+                    .collect();
+                assert_oracle(&lattice);
+                // A hole, and a row pulled away: ties at a second length.
+                let mut holed = lattice.clone();
+                holed.remove(lattice.len() / 2);
+                assert_oracle(&holed);
+                let stretched: Vec<Point> = lattice
+                    .iter()
+                    .map(|p| Point::new(p.x, if p.y > 0.0 { p.y + spacing } else { p.y }))
+                    .collect();
+                assert_oracle(&stretched);
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_on_two_far_clusters_joined_by_a_bridge() {
+        for (seed, gap) in [10.0, 1e3, 1e6].into_iter().enumerate() {
+            let mut pts = scattered(80, 2.0, seed as u64);
+            pts.extend(
+                scattered(80, 2.0, 100 + seed as u64)
+                    .iter()
+                    .map(|p| Point::new(p.x + gap, p.y)),
+            );
+            assert_oracle(&pts);
+            // A chain of links shorter than the gap but longer than the clusters' spacing.
+            let links = 9;
+            pts.extend((1..links).map(|i| Point::new(1.0 + gap * i as f64 / links as f64, 1.0)));
+            assert_oracle(&pts);
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The grid threshold equals Prim's bit for bit on random sets
+            /// at offsets up to 10⁹ and scales from 10⁻⁶ to 10³ — raw,
+            /// snapped to an integer lattice (ties everywhere), or
+            /// flattened onto a line.
+            #[test]
+            fn threshold_matches_prim_bitwise(
+                raw in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 0..60),
+                ox in -1e9f64..1e9,
+                oy in -1e9f64..1e9,
+                log_scale in -6.0f64..3.0,
+                shape in 0u32..3,
+            ) {
+                let scale = 10f64.powf(log_scale);
+                let pts: Vec<Point> = raw
+                    .iter()
+                    .map(|&(x, y)| match shape {
+                        0 => (x, y),
+                        1 => ((x * 4.0).round(), (y * 4.0).round()),
+                        _ => (x, 0.0),
+                    })
+                    .map(|(x, y)| Point::new(ox + x * scale, oy + y * scale))
+                    .collect();
+                prop_assert_eq!(
+                    connectivity_threshold(&pts).to_bits(),
+                    prim_threshold(&pts).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_on_every_concrete_registry_family() {
+        use freezetag_instances::registry::{self, ParamMap};
+        for info in registry::GENERATORS.iter().filter(|g| !g.adversarial) {
+            // Scale families shrink to a size Prim can check.
+            let shrunk: &[(&str, f64)] = match info.name {
+                "uniform_1m" | "wave_100k" | "separator_100k" => &[("n", 2000.0), ("radius", 28.0)],
+                "grid_1m" => &[("side", 40.0)],
+                "skewed_500k" => &[
+                    ("n", 2000.0),
+                    ("radius", 19.0),
+                    ("far", 40.0),
+                    ("ell", 40.0),
+                ],
+                _ => &[],
+            };
+            let params: ParamMap = shrunk.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+            for seed in [1, 2] {
+                let inst = registry::build_instance(info.name, &params, seed)
+                    .unwrap_or_else(|e| panic!("{}: {e}", info.name));
+                assert_oracle(&inst.all_points());
+            }
+        }
+    }
 
     #[test]
     fn radius_of_cross() {

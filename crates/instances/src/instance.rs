@@ -1,5 +1,5 @@
 use freezetag_geometry::Point;
-use freezetag_graph::InstanceParams;
+use freezetag_graph::{connectivity_threshold, radius, InstanceParams};
 use std::fmt;
 
 /// The input tuple `(ℓ, ρ, n)` handed to a dFTP algorithm (Section 1.2).
@@ -161,16 +161,22 @@ impl Instance {
     /// The canonical admissible tuple of this instance: `ℓ = ℓ*` (rounded
     /// up to the next integer, following the paper's integrality
     /// convention), `ρ = max(ρ*, ℓ)` rounded up. Proposition 1 guarantees
-    /// the result is admissible.
+    /// the result is admissible. Only `ρ*` and `ℓ*` are computed; callers
+    /// that also want `ξ_ℓ` take [`Instance::params`] and round its bounds
+    /// with [`AdmissibleTuple::rounded`].
     ///
     /// # Panics
     ///
     /// Panics for an empty instance (`n = 0` gives no positive `ℓ*`).
     pub fn admissible_tuple(&self) -> AdmissibleTuple {
         assert!(self.n() > 0, "empty instance has no admissible tuple");
-        let p = self.params(None);
-        AdmissibleTuple::rounded(p.ell_star, p.rho_star, self.n())
-            .expect("Proposition 1: measured bounds round to an admissible tuple")
+        let points = self.all_points();
+        AdmissibleTuple::rounded(
+            connectivity_threshold(&points),
+            radius(&points, 0),
+            self.n(),
+        )
+        .expect("Proposition 1: measured bounds round to an admissible tuple")
     }
 
     /// A tuple with slack: `ℓ` and `ρ` multiplied by the given factors

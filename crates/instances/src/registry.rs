@@ -590,10 +590,9 @@ pub fn build(name: &str, params: &ParamMap, seed: u64) -> Result<Built, Registry
 /// `None` for ordinary generators, whose exact `ℓ*` is computed from the
 /// built instance.
 ///
-/// The paper's algorithms take `(ℓ, ρ)` as *inputs* (Section 1.2);
-/// computing `ℓ*` exactly is an `O(n²)` convenience of the experiment
-/// harness that 10⁶-robot sweeps cannot afford. The scale families trade
-/// that pass for a declared bound, checked only where geometry pins it
+/// The paper's algorithms take `(ℓ, ρ)` as *inputs* (Section 1.2), and a
+/// declared bound pins one schedule for every member of a family however
+/// its exact `ℓ*` rounds. The bound is checked only where geometry pins it
 /// (lattice spacing, straggler gap).
 pub fn preset_ell(name: &str, params: &ParamMap) -> Option<f64> {
     let info = lookup(name)?;

@@ -22,7 +22,7 @@ use freezetag::exp::{
     ScenarioSpec, SubmitOptions,
 };
 use freezetag::instances::registry::{self, GeneratorInfo, ParamMap};
-use freezetag::instances::Instance;
+use freezetag::instances::{AdmissibleTuple, Instance};
 use freezetag::sim::svg::{render_run, SvgOptions};
 use freezetag::sim::{ConcreteWorld, Sim};
 use std::collections::HashMap;
@@ -454,7 +454,7 @@ fn cmd_compare(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_params(opts: &HashMap<String, String>) -> Result<(), String> {
     let inst = build_instance("params", opts, &[])?;
     let p = inst.params(None);
-    let tuple = inst.admissible_tuple();
+    let tuple = AdmissibleTuple::rounded(p.ell_star, p.rho_star, inst.n())?;
     println!("n     = {}", inst.n());
     println!("ρ*    = {:.4}", p.rho_star);
     println!("ℓ*    = {:.4}", p.ell_star);
