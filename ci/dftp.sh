@@ -2,8 +2,6 @@
 # Reusable CI wrapper for the dftp CLI: every workflow step that drives
 # the binary goes through this helper instead of repeating the full
 # `cargo run` invocation in YAML. Runs against the release profile so CI
-# steps reuse the build job's artifacts. Extra cargo flags (e.g.
-# `--features simd` for the kernel determinism legs) go through
-# DFTP_CARGO_FLAGS.
+# steps reuse the build job's artifacts.
 set -euo pipefail
-exec cargo run --release ${DFTP_CARGO_FLAGS:-} --quiet --bin dftp -- "$@"
+exec cargo run --release --quiet --bin dftp -- "$@"

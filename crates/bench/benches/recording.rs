@@ -12,8 +12,8 @@ use freezetag_core::{a_grid, AGridConfig};
 use freezetag_instances::registry::{self, ParamMap};
 use freezetag_instances::Instance;
 use freezetag_sim::{
-    validate, validate_compressed, CompressedRecorder, ConcreteWorld, Recorder, Schedule, Sim,
-    ValidationOptions, WorldView,
+    validate, CompressedRecorder, ConcreteWorld, Recorder, Schedule, Sim, ValidationOptions,
+    WorldView,
 };
 use std::hint::black_box;
 
@@ -103,7 +103,7 @@ fn bench_recording(c: &mut Criterion) {
     g.bench_function("agrid_100k_validate_streaming", |b| {
         b.iter(|| {
             black_box(
-                validate_compressed(
+                validate(
                     &rec,
                     inst.source(),
                     inst.positions(),

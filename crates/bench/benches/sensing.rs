@@ -1,12 +1,10 @@
-//! Criterion benchmark of the sensing kernels: scalar vs wide membership
-//! scans, at three levels of the stack.
+//! Criterion benchmark of the sensing kernels' membership scans, at three
+//! levels of the stack.
 //!
 //! * `kernel/*` — the raw `freezetag_graph::kernel` disk/rect scans over
-//!   realistic cell-window slices (both variants are always compiled, so
-//!   this comparison runs in every build configuration);
+//!   realistic cell-window slices;
 //! * `grid/*` — `GridIndex::within_into` at `AWave`'s unit sensing radius
-//!   over a `wave_100k`-density swarm (whichever kernel the build
-//!   dispatches to — rerun with `--features simd` to flip it);
+//!   over a `wave_100k`-density swarm;
 //! * `world/*` — end-to-end `ConcreteWorld` sensing through
 //!   `look_batch_into`, the exact call the wave drivers make per slot.
 
@@ -45,31 +43,17 @@ fn bench_kernels(c: &mut Criterion) {
         let xs: Vec<f64> = (0..len).map(|i| (i as f64 * 0.37).sin() * 2.0).collect();
         let ys: Vec<f64> = (0..len).map(|i| (i as f64 * 0.73).cos() * 2.0).collect();
         let accept_sq = 1.0f64;
-        g.bench_with_input(BenchmarkId::new("disk_scalar", len), &len, |b, _| {
+        g.bench_with_input(BenchmarkId::new("disk", len), &len, |b, _| {
             b.iter(|| {
                 let mut acc = 0usize;
-                kernel::disk_scan_scalar(&xs, &ys, 0.25, -0.5, accept_sq, |k| acc += k);
+                kernel::disk_scan(&xs, &ys, 0.25, -0.5, accept_sq, |k| acc += k);
                 black_box(acc)
             });
         });
-        g.bench_with_input(BenchmarkId::new("disk_wide", len), &len, |b, _| {
+        g.bench_with_input(BenchmarkId::new("rect", len), &len, |b, _| {
             b.iter(|| {
                 let mut acc = 0usize;
-                kernel::disk_scan_wide(&xs, &ys, 0.25, -0.5, accept_sq, |k| acc += k);
-                black_box(acc)
-            });
-        });
-        g.bench_with_input(BenchmarkId::new("rect_scalar", len), &len, |b, _| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                kernel::rect_scan_scalar(&xs, &ys, -1.0, -1.0, 1.0, 1.0, |k| acc += k);
-                black_box(acc)
-            });
-        });
-        g.bench_with_input(BenchmarkId::new("rect_wide", len), &len, |b, _| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                kernel::rect_scan_wide(&xs, &ys, -1.0, -1.0, 1.0, 1.0, |k| acc += k);
+                kernel::rect_scan(&xs, &ys, -1.0, -1.0, 1.0, 1.0, |k| acc += k);
                 black_box(acc)
             });
         });
@@ -84,12 +68,7 @@ fn bench_grid_index(c: &mut Criterion) {
     let inst = uniform_disk(N, radius, 11);
     let idx = GridIndex::build(inst.positions(), 1.0);
     let qs = centres(radius, 4096);
-    let kernel_name = if cfg!(feature = "simd") {
-        "within_into/wide"
-    } else {
-        "within_into/scalar"
-    };
-    g.bench_with_input(BenchmarkId::new(kernel_name, N), &qs, |b, qs| {
+    g.bench_with_input(BenchmarkId::new("within_into", N), &qs, |b, qs| {
         let mut out = Vec::new();
         b.iter(|| {
             let mut acc = 0usize;
@@ -114,12 +93,7 @@ fn bench_world_sensing(c: &mut Criterion) {
         .into_iter()
         .map(|p| (p, 0.0))
         .collect();
-    let kernel_name = if cfg!(feature = "simd") {
-        "look_batch/wide"
-    } else {
-        "look_batch/scalar"
-    };
-    g.bench_with_input(BenchmarkId::new(kernel_name, N), &qs, |b, qs| {
+    g.bench_with_input(BenchmarkId::new("look_batch", N), &qs, |b, qs| {
         let mut flat = Vec::new();
         let mut counts = Vec::new();
         b.iter(|| {

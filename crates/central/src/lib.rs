@@ -39,7 +39,6 @@
 
 pub mod anytime;
 mod greedy;
-pub mod online;
 mod optimal;
 mod propagate;
 mod quadtree;

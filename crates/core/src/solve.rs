@@ -50,7 +50,10 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    fn from_parts(
+    /// Assembles a report from a run's validation (or recorder) figures
+    /// over `n` sleeping robots; `all_awake` means all `n + 1` robots
+    /// ended awake.
+    pub fn from_parts(
         algorithm: Algorithm,
         report: ValidationReport,
         looks: usize,

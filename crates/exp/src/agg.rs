@@ -86,7 +86,7 @@ pub struct Aggregate {
 }
 
 /// Groups job results by (scenario, algorithm) in first-appearance order —
-/// which, for results straight out of `run_plan`, is the plan's own order —
+/// which, for results straight out of `Engine::run`, is the plan's own order —
 /// and computes the per-cell statistics.
 pub fn aggregate(results: &[JobResult]) -> Vec<Aggregate> {
     let mut groups: Vec<(String, String, Vec<&JobResult>)> = Vec::new();

@@ -1,11 +1,6 @@
 //! The [`Engine`] facade: one entry point for every way this workspace
 //! executes experiment jobs.
 //!
-//! Historically the runner grew a free function per (shape × profile ×
-//! pool) combination — `run_single`, `run_single_stats_with`,
-//! `run_plan_streaming`, … — and every harness picked its own. The engine
-//! collapses that accreted surface into one object:
-//!
 //! * [`Engine::new`] holds the execution configuration (core budget,
 //!   intra-run pool width, result-cache capacity) once, instead of
 //!   threading `threads`/`ParPool` arguments through every call site;
@@ -14,10 +9,11 @@
 //!   cancellable iterator of [`JobResult`]s; [`Engine::run`] and
 //!   [`Engine::run_streaming`] are the collect/callback conveniences over
 //!   it;
-//! * [`Engine::single`] / [`Engine::single_stats`] /
-//!   [`Engine::single_compressed`] run one scenario × algorithm × seed
-//!   combination under the corresponding recorder profile, for harnesses
-//!   that need the materialized run rather than plan records.
+//! * [`Engine::single_job`] runs one scenario × algorithm × seed
+//!   combination under a given [`Profile`] and returns its record,
+//!   through the same code path as a plan's workers; [`Engine::single`]
+//!   returns the materialized full-profile run (schedule, phase trace,
+//!   positions) for harnesses that need more than a record.
 //!
 //! Three production concerns live here and nowhere else:
 //!
@@ -46,10 +42,9 @@
 //! boundary and surfaced as [`ExpError::Internal`], so one bad job cannot
 //! take down a resident serving process.
 
-use crate::plan::{AlgSpec, ExperimentPlan, JobSpec, ScenarioSpec};
+use crate::plan::{AlgSpec, ExperimentPlan, JobSpec, Profile, ScenarioSpec};
 use crate::runner::{
-    execute_job_ctx, inter_job_workers, single_compressed, single_full, single_stats,
-    CompressedRun, JobContext, JobResult, SingleRun, StatsRun,
+    execute_job, inter_job_workers, run_job, single, JobContext, JobResult, SingleRun,
 };
 use crate::ExpError;
 use freezetag_instances::registry;
@@ -388,7 +383,7 @@ impl Engine {
     /// Runs one scenario × algorithm × seed combination to completion
     /// under the full-schedule profile and returns the materialized run —
     /// schedule, phase trace, positions — for harnesses (figures, SVG
-    /// rendering) that need more than aggregate numbers.
+    /// rendering) that need more than the record's numbers.
     ///
     /// # Errors
     ///
@@ -401,43 +396,42 @@ impl Engine {
         alg: AlgSpec,
         seed: u64,
     ) -> Result<SingleRun, ExpError> {
-        single_full(spec, alg, seed, self.single_pool(), &mut self.single_ctx())
+        single(spec, alg, seed, self.single_pool(), &mut self.single_ctx())
     }
 
-    /// [`Engine::single`] under the constant-memory stats profile: no
-    /// schedule, no validation, no ξ_ℓ — only aggregate numbers, which
-    /// match a full-profile run bit-for-bit. The only tractable path at
-    /// 10⁵–10⁶ robots.
-    ///
-    /// # Errors
-    ///
-    /// Registry errors, or [`ExpError::Unsupported`] for non-distributed
-    /// algorithms and adversarial scenarios.
-    pub fn single_stats(
-        &self,
-        spec: &ScenarioSpec,
-        alg: AlgSpec,
-        seed: u64,
-    ) -> Result<StatsRun, ExpError> {
-        single_stats(spec, alg, seed, self.single_pool(), &mut self.single_ctx())
-    }
-
-    /// [`Engine::single`] under the compressed profile: the full schedule
-    /// kept in delta-encoded blocks and checked by the streaming
-    /// validator — full-fidelity validation at stats-profile scale.
+    /// Runs one scenario × algorithm × seed combination under `profile`
+    /// and returns its record — the same [`JobResult`] a one-job plan
+    /// would emit (job and repetition index 0), produced by the same code
+    /// path. `stats` keeps only aggregates and is the tractable profile at
+    /// 10⁵–10⁶ robots; `compressed` validates at that scale; `full` also
+    /// measures ξ_ℓ.
     ///
     /// # Errors
     ///
     /// Registry errors, validation failures, or
-    /// [`ExpError::Unsupported`] for non-distributed algorithms and
-    /// adversarial scenarios.
-    pub fn single_compressed(
+    /// [`ExpError::Unsupported`] (adversarial scenarios need the full
+    /// profile; `central[optimal]` refuses `n > 10`).
+    pub fn single_job(
         &self,
         spec: &ScenarioSpec,
         alg: AlgSpec,
         seed: u64,
-    ) -> Result<CompressedRun, ExpError> {
-        single_compressed(spec, alg, seed, self.single_pool(), &mut self.single_ctx())
+        profile: Profile,
+    ) -> Result<JobResult, ExpError> {
+        let job = JobSpec {
+            index: 0,
+            scenario: 0,
+            algorithm: alg,
+            seed_index: 0,
+            seed,
+        };
+        run_job(
+            spec,
+            &job,
+            profile,
+            self.single_pool(),
+            &mut self.single_ctx(),
+        )
     }
 
     fn single_pool(&self) -> ParPool {
@@ -515,7 +509,7 @@ fn worker_loop(
                 // stop here, never the worker thread or the process. The
                 // context self-heals after an unwind (scratch resets on
                 // next use, a lost recorder is rebuilt).
-                let out = catch_unwind(AssertUnwindSafe(|| execute_job_ctx(plan, job, &mut ctx)))
+                let out = catch_unwind(AssertUnwindSafe(|| execute_job(plan, job, &mut ctx)))
                     .unwrap_or_else(|payload| Err(unwind_to_error(payload)));
                 if let (Some(k), Ok(r)) = (key, &out) {
                     engine.cache_put(k, r.clone());
@@ -677,16 +671,43 @@ mod tests {
     }
 
     #[test]
-    fn submit_streams_run_results_in_order() {
-        let plan = tiny_plan();
-        let buffered = Engine::with_threads(2).run(&plan).unwrap();
-        assert_eq!(buffered.len(), 4);
-        for threads in [1, 4] {
-            let stream = Engine::with_threads(threads).submit(&plan).unwrap();
-            assert_eq!(stream.total_jobs(), 4);
-            let streamed: Vec<_> = stream.map(|r| strip_wall(r.unwrap())).collect();
-            let want: Vec<_> = buffered.iter().cloned().map(strip_wall).collect();
-            assert_eq!(streamed, want, "threads={threads}");
+    fn results_are_identical_across_entry_points_and_thread_counts() {
+        // Every way to run a plan — collected, streamed, called back —
+        // at any `threads` and `sim_threads`, yields the same records
+        // (bar wall time), in job order, under every recording profile.
+        for profile in [Profile::Full, Profile::Compressed] {
+            let plan = tiny_plan().profile(profile);
+            let want: Vec<_> = Engine::with_threads(2)
+                .run(&plan)
+                .unwrap()
+                .into_iter()
+                .map(strip_wall)
+                .collect();
+            assert_eq!(want.len(), 4);
+            for threads in [1, 4] {
+                let engine = Engine::with_threads(threads);
+                let stream = engine.submit(&plan).unwrap();
+                assert_eq!(stream.total_jobs(), 4);
+                let streamed: Vec<_> = stream.map(|r| strip_wall(r.unwrap())).collect();
+                assert_eq!(streamed, want, "{profile} submit, threads={threads}");
+                let mut called_back = Vec::new();
+                engine
+                    .run_streaming(&plan, |r| called_back.push(strip_wall(r.clone())))
+                    .unwrap();
+                assert_eq!(
+                    called_back, want,
+                    "{profile} run_streaming, threads={threads}"
+                );
+                let collected: Vec<_> = engine.run(&plan).unwrap();
+                let collected: Vec<_> = collected.into_iter().map(strip_wall).collect();
+                assert_eq!(collected, want, "{profile} run, threads={threads}");
+            }
+            for sim_threads in [2, 4] {
+                let wide = plan.clone().sim_threads(sim_threads);
+                let results = Engine::with_threads(2).run(&wide).unwrap();
+                let results: Vec<_> = results.into_iter().map(strip_wall).collect();
+                assert_eq!(results, want, "{profile} sim_threads={sim_threads}");
+            }
         }
     }
 
@@ -902,7 +923,7 @@ mod tests {
     }
 
     #[test]
-    fn single_family_matches_the_plan_path() {
+    fn single_job_matches_the_plan_path_under_every_profile() {
         let engine = Engine::new(EngineConfig {
             threads: 1,
             sim_threads: 2,
@@ -911,12 +932,11 @@ mod tests {
         let spec = ScenarioSpec::new("disk")
             .with("n", 30.0)
             .with("radius", 6.0);
-        let full = engine.single(&spec, Algorithm::Wave.into(), 5).unwrap();
-        let stats = engine
-            .single_stats(&spec, Algorithm::Wave.into(), 5)
-            .unwrap();
+        let wave = AlgSpec::from(Algorithm::Wave);
+        let full = engine.single(&spec, wave, 5).unwrap();
+        let stats = engine.single_job(&spec, wave, 5, Profile::Stats).unwrap();
         let compressed = engine
-            .single_compressed(&spec, Algorithm::Wave.into(), 5)
+            .single_job(&spec, wave, 5, Profile::Compressed)
             .unwrap();
         assert!(full.report.all_awake);
         assert_eq!(full.report.makespan.to_bits(), stats.makespan.to_bits());
@@ -928,5 +948,232 @@ mod tests {
             full.report.total_energy.to_bits(),
             stats.total_energy.to_bits()
         );
+        // A single job is a one-job plan's record, bit for bit.
+        for profile in [Profile::Full, Profile::Stats, Profile::Compressed] {
+            let plan = ExperimentPlan::new("one")
+                .scenario(spec.clone())
+                .algorithm(wave)
+                .seeds(1)
+                .profile(profile);
+            let job = plan.jobs()[0];
+            let planned = engine.run(&plan).unwrap().remove(0);
+            let single = engine.single_job(&spec, wave, job.seed, profile).unwrap();
+            assert_eq!(strip_wall(single), strip_wall(planned), "{profile}");
+        }
+    }
+
+    // The execution contract of plans and single jobs, end to end through
+    // the engine.
+
+    #[test]
+    fn run_reports_in_job_order_and_wakes_everyone() {
+        let results = Engine::with_threads(2)
+            .run(&tiny_plan())
+            .expect("plan runs");
+        assert_eq!(results.len(), 4);
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!(r.job, i);
+            assert!(r.all_awake, "job {i} left robots asleep");
+            assert_eq!(r.n, 12);
+            assert!(r.makespan > 0.0);
+            assert!(r.xi_ell.is_some());
+        }
+        assert_eq!(results[0].algorithm, "AGrid");
+        assert_eq!(results[2].algorithm, "AWave");
+    }
+
+    #[test]
+    fn compressed_profile_matches_full_profile_bitwise() {
+        let engine = Engine::with_threads(2);
+        let full = engine.run(&tiny_plan()).unwrap();
+        let compressed = engine
+            .run(&tiny_plan().profile(Profile::Compressed))
+            .unwrap();
+        assert_eq!(full.len(), compressed.len());
+        for (f, c) in full.iter().zip(&compressed) {
+            assert_eq!(f.makespan.to_bits(), c.makespan.to_bits(), "job {}", f.job);
+            assert_eq!(f.completion_time.to_bits(), c.completion_time.to_bits());
+            assert_eq!(f.max_energy.to_bits(), c.max_energy.to_bits());
+            assert_eq!(f.total_energy.to_bits(), c.total_energy.to_bits());
+            assert_eq!(f.looks, c.looks);
+            assert!(c.all_awake);
+            assert_eq!(c.xi_ell, None, "compressed profile skips ξ_ℓ");
+            assert!(
+                c.peak_mem_bytes < f.peak_mem_bytes,
+                "compressed recorder ({}) must undercut the flat store ({})",
+                c.peak_mem_bytes,
+                f.peak_mem_bytes
+            );
+        }
+    }
+
+    #[test]
+    fn compressed_single_job_reports_codec_figures() {
+        use freezetag_core::{a_wave, AWaveConfig};
+        use freezetag_sim::{ConcreteWorld, Recorder, Sim};
+        let spec = ScenarioSpec::new("disk")
+            .with("n", 30.0)
+            .with("radius", 6.0);
+        let engine = Engine::default();
+        let run = engine
+            .single_job(&spec, Algorithm::Wave.into(), 5, Profile::Compressed)
+            .unwrap();
+        assert!(run.all_awake);
+        // The record carries the recorder footprint; the codec's own
+        // figures come from replaying the job on the same instance, which
+        // must reproduce that footprint exactly.
+        let inst = registry::build_instance(&spec.generator, &spec.params, 5).unwrap();
+        let mut sim = Sim::with_compressed(ConcreteWorld::new(&inst));
+        a_wave(&mut sim, &AWaveConfig { ell: run.ell });
+        let (_, rec, _) = sim.into_recorder_parts();
+        assert_eq!(rec.memory_bytes() as f64, run.peak_mem_bytes);
+        assert!(rec.compressed_bytes() > 0);
+        assert!((rec.compressed_bytes() as f64) < run.peak_mem_bytes);
+        assert!(
+            rec.bytes_per_move().is_finite() && rec.bytes_per_move() > 0.0,
+            "bytes/move {}",
+            rec.bytes_per_move()
+        );
+        let err = engine
+            .single_job(&spec, AlgSpec::CentralOptimal, 5, Profile::Compressed)
+            .unwrap_err();
+        assert!(matches!(err, ExpError::Unsupported(_)), "{err}");
+    }
+
+    #[test]
+    fn failing_job_aborts_the_plan_with_its_error() {
+        // central[optimal] refuses n > 10; the error must surface instead
+        // of the engine running (or hanging on) the remaining jobs, and
+        // everything before the first failing job index must still have
+        // been emitted, in order.
+        let plan = |algs: [AlgSpec; 2], seeds| {
+            ExperimentPlan::new("abort")
+                .scenario(
+                    ScenarioSpec::new("disk")
+                        .with("n", 50.0)
+                        .with("radius", 8.0),
+                )
+                .algorithm(algs[0])
+                .algorithm(algs[1])
+                .seeds(seeds)
+        };
+        let (grid, optimal) = (AlgSpec::from(Algorithm::Grid), AlgSpec::CentralOptimal);
+        let err = Engine::with_threads(2)
+            .run(&plan([optimal, grid], 4))
+            .unwrap_err();
+        assert!(matches!(err, ExpError::Unsupported(_)), "{err}");
+        let mut streamed = Vec::new();
+        let err = Engine::with_threads(2)
+            .run_streaming(&plan([grid, optimal], 2), |r| streamed.push(r.job))
+            .unwrap_err();
+        assert!(matches!(err, ExpError::Unsupported(_)), "{err}");
+        assert_eq!(streamed, vec![0, 1], "AGrid jobs precede the failure");
+    }
+
+    #[test]
+    fn strategy_override_runs_and_mismatches_error() {
+        use freezetag_central::WakeStrategy;
+        let spec = ScenarioSpec::new("disk")
+            .with("n", 15.0)
+            .with("radius", 5.0);
+        let engine = Engine::default();
+        let run = engine
+            .single(&spec, AlgSpec::separator_with(WakeStrategy::Chain), 3)
+            .unwrap();
+        assert!(run.report.all_awake);
+        let err = engine
+            .single(
+                &spec,
+                AlgSpec::Distributed {
+                    algorithm: Algorithm::Grid,
+                    strategy: Some(WakeStrategy::Chain),
+                },
+                3,
+            )
+            .unwrap_err();
+        assert!(matches!(err, ExpError::Unsupported(_)));
+    }
+
+    #[test]
+    fn central_baselines_and_optimal_run_through_the_engine() {
+        use freezetag_central::WakeStrategy;
+        let plan = ExperimentPlan::new("central")
+            .scenario(ScenarioSpec::new("disk").with("n", 6.0).with("radius", 4.0))
+            .algorithm(AlgSpec::Central(WakeStrategy::Quadtree))
+            .algorithm(AlgSpec::Central(WakeStrategy::Greedy))
+            .algorithm(AlgSpec::CentralOptimal);
+        let results = Engine::with_threads(2).run(&plan).unwrap();
+        assert_eq!(results.len(), 3);
+        let opt = results[2].makespan;
+        assert!(opt > 0.0);
+        assert!(results[0].makespan >= opt - 1e-9, "quadtree beats optimal?");
+        assert!(results[1].makespan >= opt - 1e-9, "greedy beats optimal?");
+    }
+
+    #[test]
+    fn central_and_distributed_jobs_report_one_scale_family_tuple() {
+        use freezetag_central::WakeStrategy;
+        // A scale family declares ℓ: the central baseline must report the
+        // tuple its paired distributed run was handed, not the exact ℓ*.
+        let spec = ScenarioSpec::new("uniform_1m")
+            .with("n", 300.0)
+            .with("radius", 10.0);
+        let plan = ExperimentPlan::new("paired")
+            .scenario(spec.clone())
+            .algorithm(Algorithm::Grid)
+            .algorithm(AlgSpec::Central(WakeStrategy::Greedy));
+        let results = Engine::with_threads(1).run(&plan).unwrap();
+        assert_eq!(results.len(), 2);
+        let (grid, central) = (&results[0], &results[1]);
+        assert_eq!(grid.ell, 4.0, "the family's declared ℓ");
+        assert_eq!(central.ell.to_bits(), grid.ell.to_bits());
+        assert_eq!(central.rho.to_bits(), grid.rho.to_bits());
+        let inst = registry::build_instance(&spec.generator, &spec.params, grid.seed).unwrap();
+        assert_ne!(
+            inst.admissible_tuple().ell,
+            grid.ell,
+            "the exact ℓ* must differ, or this test pins nothing"
+        );
+    }
+
+    #[test]
+    fn central_results_aggregate_and_emit_without_panicking() {
+        use freezetag_central::WakeStrategy;
+        // Regression: central jobs leave per-robot energy (and, for the
+        // exact optimum, total energy) unmeasured as NaN — aggregation
+        // must skip them and the JSON emitters must render null.
+        let plan = ExperimentPlan::new("central-agg")
+            .scenario(ScenarioSpec::new("disk").with("n", 6.0).with("radius", 4.0))
+            .algorithm(AlgSpec::CentralOptimal)
+            .algorithm(AlgSpec::Central(WakeStrategy::Quadtree))
+            .seeds(2);
+        let results = Engine::with_threads(2).run(&plan).expect("plan runs");
+        let aggregates = crate::agg::aggregate(&results);
+        assert_eq!(aggregates.len(), 2);
+        assert!(aggregates[0].max_energy.mean.is_nan());
+        let json = crate::emit::aggregates_to_json(&plan, &aggregates);
+        assert!(
+            json.contains("\"max_energy\":{\"mean\":null"),
+            "unmeasured energy must emit null: {json}"
+        );
+        let csv = crate::emit::jobs_to_csv(&results);
+        assert!(!csv.contains("NaN"), "NaN leaked into CSV: {csv}");
+    }
+
+    #[test]
+    fn adversarial_scenario_runs_separator_through_the_engine() {
+        let plan = ExperimentPlan::new("adv")
+            .scenario(
+                ScenarioSpec::new("theorem2")
+                    .with("ell", 2.0)
+                    .with("rho", 8.0)
+                    .with("n", 40.0),
+            )
+            .algorithm(Algorithm::Separator);
+        let results = Engine::with_threads(1).run(&plan).unwrap();
+        assert_eq!(results.len(), 1);
+        assert!(results[0].all_awake, "adversarial robots must all wake");
+        assert!(results[0].looks > 0);
+        assert_eq!(results[0].xi_ell, None);
     }
 }

@@ -26,9 +26,9 @@
 //! * [`engine`] — the [`Engine`] facade: plan submission onto a resident
 //!   worker pool, the in-order cancellable [`JobStream`], the
 //!   deterministic result cache, and the single-run entry points;
-//! * [`runner`] — per-job execution (concrete and adversarial worlds),
-//!   [`JobResult`] and the single-run result types, plus deprecated
-//!   pre-Engine free functions kept as thin shims;
+//! * [`runner`] — per-job execution (one path for every recorder profile
+//!   on concrete worlds, plus the adversarial one), [`JobResult`] and
+//!   [`SingleRun`];
 //! * [`serve`] — `dftp serve`: the engine behind a hand-rolled HTTP/1.1
 //!   service with streaming JSONL results;
 //! * [`agg`] — grouping job results into [`Aggregate`]s with
@@ -69,9 +69,4 @@ pub use emit::JobStreamWriter;
 pub use engine::{CacheStats, Engine, EngineConfig, JobStream, SubmitOptions};
 pub use error::ExpError;
 pub use plan::{derive_seed, AlgSpec, ExperimentPlan, JobSpec, Profile, ScenarioSpec};
-pub use runner::{inter_job_workers, CompressedRun, JobResult, SingleRun, StatsRun};
-#[allow(deprecated)]
-pub use runner::{
-    run_plan, run_plan_streaming, run_single, run_single_compressed, run_single_compressed_with,
-    run_single_stats, run_single_stats_with, run_single_with,
-};
+pub use runner::{inter_job_workers, JobResult, SingleRun};

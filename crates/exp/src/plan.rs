@@ -4,6 +4,7 @@ use crate::ExpError;
 use freezetag_central::WakeStrategy;
 use freezetag_core::Algorithm;
 use freezetag_instances::registry::{self, ParamMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A named scenario: a registry generator plus a parameter map.
@@ -329,6 +330,79 @@ impl ExperimentPlan {
     pub fn sim_threads(mut self, sim_threads: usize) -> Self {
         self.sim_threads = sim_threads;
         self
+    }
+
+    /// The keys of the plan grammar read by [`ExperimentPlan::from_options`].
+    pub const OPTION_KEYS: &'static [&'static str] = &[
+        "scenarios",
+        "algs",
+        "seeds",
+        "plan-seed",
+        "profile",
+        "sim-threads",
+        "name",
+    ];
+
+    /// Builds a plan from the plan grammar that `dftp sweep` flags and
+    /// `dftp serve` request bodies share: `scenarios` (required; a
+    /// comma-separated list of [`ScenarioSpec::parse`] texts), `algs`
+    /// (default `separator,grid,wave`), `seeds` (3), `plan-seed` (1),
+    /// `profile` (`full`), `sim-threads` (1) and `name` (`default_name`).
+    ///
+    /// Keys outside [`ExperimentPlan::OPTION_KEYS`] are ignored — each
+    /// caller checks its own extras — and the plan is not validated, so a
+    /// caller may still narrow its axes before [`ExperimentPlan::validate`].
+    /// Error messages spell a key as `{flag}{key}` (`flag` is `--` on the
+    /// command line, empty in a request body).
+    ///
+    /// # Errors
+    ///
+    /// [`ExpError::InvalidPlan`] for a missing `scenarios`, a malformed
+    /// number or `sim-threads` of 0; parse errors of the scenario,
+    /// algorithm and profile texts.
+    pub fn from_options(
+        opts: &HashMap<String, String>,
+        default_name: &str,
+        flag: &str,
+    ) -> Result<Self, ExpError> {
+        let get = |key: &str| opts.get(key).map(String::as_str);
+        let count = |key: &str, default: usize| -> Result<usize, ExpError> {
+            get(key).map_or(Ok(default), |text| {
+                text.trim().parse().map_err(|_| {
+                    ExpError::InvalidPlan(format!(
+                        "{flag}{key} expects an unsigned integer, got {text:?}"
+                    ))
+                })
+            })
+        };
+        let scenarios = get("scenarios")
+            .ok_or_else(|| {
+                ExpError::InvalidPlan(format!("{flag}scenarios is required (e.g. disk:n=40,ring)"))
+            })?
+            .split(',')
+            .map(ScenarioSpec::parse)
+            .collect::<Result<_, _>>()?;
+        let algorithms = get("algs")
+            .unwrap_or("separator,grid,wave")
+            .split(',')
+            .map(AlgSpec::parse)
+            .collect::<Result<_, _>>()?;
+        let profile = get("profile").map_or(Ok(Profile::Full), Profile::parse)?;
+        let sim_threads = count("sim-threads", 1)?;
+        if sim_threads == 0 {
+            return Err(ExpError::InvalidPlan(format!(
+                "{flag}sim-threads must be at least 1 (use 1 for a sequential job)"
+            )));
+        }
+        Ok(ExperimentPlan {
+            name: get("name").unwrap_or(default_name).to_string(),
+            scenarios,
+            algorithms,
+            seeds: count("seeds", 3)?,
+            plan_seed: count("plan-seed", 1)? as u64,
+            profile,
+            sim_threads,
+        })
     }
 
     /// Total number of jobs in the cross-product.

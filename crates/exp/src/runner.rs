@@ -1,14 +1,14 @@
 //! Per-job execution: building a world from a [`JobSpec`], dispatching the
-//! algorithm under the plan's recorder profile, and measuring the result.
+//! algorithm under a recorder profile, and measuring the result.
 //!
 //! This module owns the *single-job* layer: the result types
-//! ([`JobResult`], [`SingleRun`], [`StatsRun`], [`CompressedRun`]), the
-//! worker-resident `JobContext` and the core-budget split
-//! ([`inter_job_workers`]). Multi-job orchestration — worker pools,
-//! streaming windows, the result cache, cancellation — lives in the
-//! [`Engine`](crate::Engine) facade; the free functions kept here
-//! ([`run_single`] and friends, [`run_plan`], [`run_plan_streaming`]) are
-//! deprecated shims over it.
+//! ([`JobResult`], [`SingleRun`]), the worker-resident `JobContext` and
+//! the core-budget split ([`inter_job_workers`]). Every distributed job on
+//! a concrete instance takes one path, whatever its [`Profile`]: registry
+//! instance, `tuple_for`, `ConcreteWorld`, `Sim`, dispatch. The profile
+//! supplies only its recorder and its finishing step (see `Recording`).
+//! Multi-job orchestration — worker pools, streaming windows, the result
+//! cache, cancellation — lives in the [`Engine`](crate::Engine) facade.
 
 use crate::plan::{AlgSpec, ExperimentPlan, JobSpec, Profile, ScenarioSpec};
 use crate::ExpError;
@@ -21,8 +21,9 @@ use freezetag_geometry::Point;
 use freezetag_instances::registry::{self, Built};
 use freezetag_instances::{AdmissibleTuple, Instance};
 use freezetag_sim::{
-    validate, validate_compressed, AdversarialWorld, CancelToken, ConcreteWorld, ParPool, Recorder,
-    RobotId, Schedule, Sim, StatsRecorder, ValidationOptions, WorldView,
+    validate, AdversarialWorld, CancelToken, CompressedRecorder, ConcreteWorld, FullRecorder,
+    ParPool, Recorder, RobotId, Schedule, Sim, SimError, StatsRecorder, ValidationOptions,
+    ValidationReport, WorldView,
 };
 use std::time::Instant;
 
@@ -188,63 +189,154 @@ fn dispatch<W: WorldView, R: Recorder>(
     Ok(())
 }
 
-fn single_concrete(
-    scenario: &str,
+/// What a recorder profile plugs into the one distributed-job path: its
+/// recorder and its finishing step.
+trait Recording: Recorder + Sized {
+    /// The recorder for a run over `n` sleeping robots.
+    fn start(n: usize, ctx: &mut JobContext) -> Self;
+
+    /// The finishing step: the run's measured numbers and ξ_ℓ (evaluated
+    /// at `ell`, the tuple's rounded ℓ), after whatever validation the
+    /// profile performs.
+    fn finish(
+        &self,
+        inst: &Instance,
+        ell: f64,
+    ) -> Result<(ValidationReport, Option<f64>), SimError>;
+
+    /// Hands the recorder back to the worker once the job is measured.
+    fn bank(self, _: &mut JobContext) {}
+}
+
+/// `full`: the flat schedule, checked by [`validate`], plus ξ_ℓ.
+impl Recording for FullRecorder {
+    fn start(n: usize, _: &mut JobContext) -> Self {
+        FullRecorder::with_capacity(n)
+    }
+
+    fn finish(
+        &self,
+        inst: &Instance,
+        ell: f64,
+    ) -> Result<(ValidationReport, Option<f64>), SimError> {
+        let report = validate(
+            self.schedule(),
+            inst.source(),
+            inst.positions(),
+            &ValidationOptions::default(),
+        )?;
+        // For ordinary scenarios the radius/threshold pass is already paid
+        // inside tuple_for; for the preset-ℓ scale families this Dijkstra
+        // is the first (and only) graph pass of the run.
+        let xi_ell = freezetag_graph::eccentricity(&inst.all_points(), 0, ell);
+        Ok((report, xi_ell))
+    }
+}
+
+/// `stats`: constant-memory aggregates, no validation, no ξ_ℓ. The
+/// recorder's buffers are recycled through the worker's [`JobContext`].
+impl Recording for StatsRecorder {
+    fn start(n: usize, ctx: &mut JobContext) -> Self {
+        match ctx.stats_recorder.take() {
+            Some(mut r) => {
+                r.recycle(n);
+                r
+            }
+            None => StatsRecorder::with_capacity(n),
+        }
+    }
+
+    fn finish(&self, _: &Instance, _: f64) -> Result<(ValidationReport, Option<f64>), SimError> {
+        Ok((unvalidated(self), None))
+    }
+
+    fn bank(self, ctx: &mut JobContext) {
+        ctx.stats_recorder = Some(self);
+    }
+}
+
+/// `compressed`: delta-encoded blocks, checked by [`validate`] one block
+/// per robot at a time; no ξ_ℓ.
+impl Recording for CompressedRecorder {
+    fn start(n: usize, _: &mut JobContext) -> Self {
+        CompressedRecorder::with_capacity(n)
+    }
+
+    fn finish(&self, inst: &Instance, _: f64) -> Result<(ValidationReport, Option<f64>), SimError> {
+        let report = validate(
+            self,
+            inst.source(),
+            inst.positions(),
+            &ValidationOptions::default(),
+        )?;
+        Ok((report, None))
+    }
+}
+
+/// A recorder's own aggregates in the shape of a validation report, for
+/// runs that are not validated.
+fn unvalidated(rec: &impl Recorder) -> ValidationReport {
+    ValidationReport {
+        makespan: rec.makespan(),
+        completion_time: rec.completion_time(),
+        max_energy: rec.max_energy(),
+        total_energy: rec.total_energy(),
+        robots_awake: rec.active_count(),
+        wake_count: rec.wake_count(),
+    }
+}
+
+fn label(algorithm: Algorithm, strategy: Option<WakeStrategy>) -> String {
+    AlgSpec::Distributed {
+        algorithm,
+        strategy,
+    }
+    .label()
+}
+
+/// A finished distributed run on a concrete instance.
+struct ConcreteRun<R> {
+    inst: Instance,
+    tuple: AdmissibleTuple,
+    xi_ell: Option<f64>,
+    report: RunReport,
+    recorder: R,
+}
+
+/// The one distributed-job path: instance → [`tuple_for`] →
+/// `ConcreteWorld` → `Sim` over the profile's recorder → dispatch → the
+/// profile's finishing step.
+fn run_concrete<R: Recording>(
     spec: &ScenarioSpec,
     inst: Instance,
     algorithm: Algorithm,
     strategy: Option<WakeStrategy>,
     pool: ParPool,
     ctx: &mut JobContext,
-) -> Result<SingleRun, ExpError> {
+) -> Result<ConcreteRun<R>, ExpError> {
     let tuple = tuple_for(spec, &inst, &pool)?;
-    let mut sim = Sim::new(ConcreteWorld::with_pool(&inst, &pool))
+    let recorder = R::start(inst.n(), ctx);
+    let mut sim = Sim::with_recorder(ConcreteWorld::with_pool(&inst, &pool), recorder)
         .with_pool(pool)
         .with_cancel(ctx.cancel.clone());
     dispatch(&mut sim, &tuple, algorithm, strategy, &mut ctx.scratch)?;
     let looks = sim.world().look_count();
-    let (_, schedule, trace) = sim.into_parts();
-    let label = AlgSpec::Distributed {
-        algorithm,
-        strategy,
-    }
-    .label();
-    let vr = validate(
-        &schedule,
-        inst.source(),
-        inst.positions(),
-        &ValidationOptions::default(),
-    )
-    .map_err(|e| ExpError::validation(scenario, &label, e))?;
-    let report = RunReport {
-        algorithm,
-        makespan: vr.makespan,
-        completion_time: vr.completion_time,
-        max_energy: vr.max_energy,
-        total_energy: vr.total_energy,
-        wake_count: vr.wake_count,
-        all_awake: vr.robots_awake == inst.n() + 1,
-        looks,
-        trace,
-    };
-    // ξ_ℓ is evaluated at the rounded ℓ of the tuple — whichever branch of
-    // tuple_for produced it. For ordinary scenarios the radius/threshold
-    // pass is already paid inside admissible_tuple(); for the preset-ℓ
-    // scale families this Dijkstra is the first (and only) graph pass of
-    // the run.
-    let xi_ell = freezetag_graph::eccentricity(&inst.all_points(), 0, tuple.ell);
-    Ok(SingleRun {
-        source: inst.source(),
-        n: inst.n(),
-        positions: inst.positions().to_vec(),
-        ell: tuple.ell,
-        rho: tuple.rho,
+    let (_, recorder, trace) = sim.into_recorder_parts();
+    let (vr, xi_ell) = recorder
+        .finish(&inst, tuple.ell)
+        .map_err(|e| ExpError::validation(&spec.name, &label(algorithm, strategy), e))?;
+    Ok(ConcreteRun {
+        report: RunReport::from_parts(algorithm, vr, looks, inst.n(), trace),
+        inst,
+        tuple,
         xi_ell,
-        report,
-        schedule,
+        recorder,
     })
 }
 
+/// The adversarial counterpart of [`run_concrete`], full profile only:
+/// the adversary decides positions as the run goes, so validation uses
+/// whatever it pinned by the end.
 fn single_adversarial(
     scenario: &str,
     layout: freezetag_instances::adversarial::AdversarialLayout,
@@ -261,16 +353,10 @@ fn single_adversarial(
         .with_pool(pool)
         .with_cancel(ctx.cancel.clone());
     dispatch(&mut sim, &tuple, algorithm, strategy, &mut ctx.scratch)?;
-    let all_awake = sim.world().all_awake();
     let looks = sim.world().look_count();
     let finals = sim.world().final_positions();
-    let (_, schedule, trace) = sim.into_parts();
-    let label = AlgSpec::Distributed {
-        algorithm,
-        strategy,
-    }
-    .label();
-    let report = match &finals {
+    let (_, recorder, trace) = sim.into_recorder_parts();
+    let vr = match &finals {
         // All robots pinned: the revealed positions support the full
         // independent schedule validation, exactly like a concrete run.
         Some(positions) => {
@@ -278,32 +364,11 @@ fn single_adversarial(
                 require_all_awake: false,
                 ..Default::default()
             };
-            let vr = validate(&schedule, Point::ORIGIN, positions, &opts)
-                .map_err(|e| ExpError::validation(scenario, &label, e))?;
-            RunReport {
-                algorithm,
-                makespan: vr.makespan,
-                completion_time: vr.completion_time,
-                max_energy: vr.max_energy,
-                total_energy: vr.total_energy,
-                wake_count: vr.wake_count,
-                all_awake,
-                looks,
-                trace,
-            }
+            validate(recorder.schedule(), Point::ORIGIN, positions, &opts)
+                .map_err(|e| ExpError::validation(scenario, &label(algorithm, strategy), e))?
         }
         // Adversary still hiding robots: report schedule-level statistics.
-        None => RunReport {
-            algorithm,
-            makespan: schedule.makespan(),
-            completion_time: schedule.completion_time(),
-            max_energy: schedule.max_energy(),
-            total_energy: schedule.total_energy(),
-            wake_count: schedule.wakes().len(),
-            all_awake,
-            looks,
-            trace,
-        },
+        None => unvalidated(&recorder),
     };
     Ok(SingleRun {
         source: Point::ORIGIN,
@@ -312,33 +377,49 @@ fn single_adversarial(
         ell: tuple.ell,
         rho: tuple.rho,
         xi_ell: None,
-        report,
-        schedule,
+        report: RunReport::from_parts(algorithm, vr, looks, tuple.n, trace),
+        schedule: recorder.into_schedule(),
     })
 }
 
-/// The full-profile single-run core shared by the [`Engine`](crate::Engine)
-/// facade and the deprecated [`run_single`] shims.
-pub(crate) fn single_full(
+fn build(spec: &ScenarioSpec, seed: u64) -> Result<Built, ExpError> {
+    registry::build(&spec.generator, &spec.params, seed)
+        .map_err(|e| ExpError::Registry(format!("scenario '{}': {e}", spec.name)))
+}
+
+/// The full-profile run behind [`Engine::single`](crate::Engine::single),
+/// materialized with its schedule and positions.
+pub(crate) fn single(
     spec: &ScenarioSpec,
     alg: AlgSpec,
     seed: u64,
     pool: ParPool,
     ctx: &mut JobContext,
 ) -> Result<SingleRun, ExpError> {
+    // The centralized baselines have no schedule.
     let AlgSpec::Distributed {
         algorithm,
         strategy,
     } = alg
     else {
         return Err(ExpError::Unsupported(format!(
-            "run_single needs a distributed algorithm, got {}",
+            "a single run needs a distributed algorithm, got {}",
             alg.label()
         )));
     };
-    match registry::build(&spec.generator, &spec.params, seed)? {
+    match build(spec, seed)? {
         Built::Concrete(inst) => {
-            single_concrete(&spec.name, spec, inst, algorithm, strategy, pool, ctx)
+            let run = run_concrete::<FullRecorder>(spec, inst, algorithm, strategy, pool, ctx)?;
+            Ok(SingleRun {
+                source: run.inst.source(),
+                n: run.inst.n(),
+                positions: run.inst.positions().to_vec(),
+                ell: run.tuple.ell,
+                rho: run.tuple.rho,
+                xi_ell: run.xi_ell,
+                report: run.report,
+                schedule: run.recorder.into_schedule(),
+            })
         }
         Built::Adversarial(layout) => {
             single_adversarial(&spec.name, layout, algorithm, strategy, pool, ctx)
@@ -346,339 +427,139 @@ pub(crate) fn single_full(
     }
 }
 
-/// Runs one scenario × algorithm × seed combination to completion and
-/// returns the full run — schedule, phase trace, positions — for harnesses
-/// (figures, SVG rendering) that need more than aggregate numbers.
-///
-/// # Errors
-///
-/// Registry errors, validation failures, or an [`ExpError::Unsupported`]
-/// combination (centralized baselines have no schedule, so only
-/// [`AlgSpec::Distributed`] is accepted here).
-#[deprecated(note = "use Engine::new(EngineConfig::default()).single(...)")]
-pub fn run_single(spec: &ScenarioSpec, alg: AlgSpec, seed: u64) -> Result<SingleRun, ExpError> {
-    single_full(
-        spec,
-        alg,
-        seed,
-        ParPool::sequential(),
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// [`run_single`] with an explicit [`ParPool`] for deterministic intra-run
-/// parallelism — the `--sim-threads` execution path. The returned run is
-/// bit-identical for any pool width.
-///
-/// # Errors
-///
-/// As [`run_single`].
-#[deprecated(note = "use Engine::single with EngineConfig::sim_threads")]
-pub fn run_single_with(
+/// Runs one job under `profile` and measures it — the single execution
+/// path behind the [`Engine`](crate::Engine) workers and
+/// [`Engine::single_job`](crate::Engine::single_job). `job.scenario` is
+/// not read: `spec` is the scenario.
+pub(crate) fn run_job(
     spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
-    pool: ParPool,
-) -> Result<SingleRun, ExpError> {
-    single_full(
-        spec,
-        alg,
-        seed,
-        pool,
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// The aggregate-only measurements of one constant-memory run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StatsRun {
-    /// Number of sleeping robots.
-    pub n: usize,
-    /// Connectivity parameter ℓ handed to the algorithm.
-    pub ell: f64,
-    /// Radius bound ρ handed to the algorithm.
-    pub rho: f64,
-    /// Time the last robot was woken.
-    pub makespan: f64,
-    /// Time the last robot stopped moving.
-    pub completion_time: f64,
-    /// Worst per-robot travel.
-    pub max_energy: f64,
-    /// Total travel of the swarm.
-    pub total_energy: f64,
-    /// `look` snapshots taken.
-    pub looks: usize,
-    /// Whether every robot ended awake.
-    pub all_awake: bool,
-    /// Recorder heap footprint (deterministic estimate, bytes).
-    pub peak_mem_bytes: usize,
-}
-
-/// Runs one scenario × algorithm × seed combination under the constant-
-/// memory [`freezetag_sim::StatsRecorder`]: no schedule is kept, no
-/// validation runs, no ξ_ℓ is measured — only the aggregate numbers, which
-/// match a full-profile run bit-for-bit. This is the execution path behind
-/// `--profile stats` and the only tractable one at 10⁵–10⁶ robots.
-///
-/// # Errors
-///
-/// Registry errors, or [`ExpError::Unsupported`] for non-distributed
-/// algorithms and adversarial scenarios (those require full schedules).
-#[deprecated(note = "use Engine::new(EngineConfig::default()).single_stats(...)")]
-pub fn run_single_stats(
-    spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
-) -> Result<StatsRun, ExpError> {
-    single_stats(
-        spec,
-        alg,
-        seed,
-        ParPool::sequential(),
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// [`run_single_stats`] with an explicit [`ParPool`] for deterministic
-/// intra-run parallelism — the `--profile stats --sim-threads` execution
-/// path that turns one 10⁶-robot job from one-core-bound into
-/// hardware-bound. Aggregates (including `peak_mem_bytes`) are
-/// bit-identical for any pool width.
-///
-/// # Errors
-///
-/// As [`run_single_stats`].
-#[deprecated(note = "use Engine::single_stats with EngineConfig::sim_threads")]
-pub fn run_single_stats_with(
-    spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
-    pool: ParPool,
-) -> Result<StatsRun, ExpError> {
-    single_stats(
-        spec,
-        alg,
-        seed,
-        pool,
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// The stats-profile single-run core: constant-memory recorder, recycled
-/// from the worker-resident [`JobContext`] when one is banked there.
-pub(crate) fn single_stats(
-    spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
+    job: &JobSpec,
+    profile: Profile,
     pool: ParPool,
     ctx: &mut JobContext,
-) -> Result<StatsRun, ExpError> {
-    let AlgSpec::Distributed {
-        algorithm,
-        strategy,
-    } = alg
-    else {
-        return Err(ExpError::Unsupported(format!(
-            "run_single_stats needs a distributed algorithm, got {}",
-            alg.label()
-        )));
-    };
-    let inst = registry::build_instance(&spec.generator, &spec.params, seed)
-        .map_err(|e| ExpError::Registry(format!("scenario '{}': {e}", spec.name)))?;
-    let tuple = tuple_for(spec, &inst, &pool)?;
-    let world = ConcreteWorld::with_pool(&inst, &pool);
-    let n = inst.n();
-    drop(inst); // the world owns its own flat copy; free the Vec<Point>
-    let recorder = match ctx.stats_recorder.take() {
-        Some(mut r) => {
-            r.recycle(n);
-            r
+) -> Result<JobResult, ExpError> {
+    let started = Instant::now();
+    let mut result = match job.algorithm {
+        AlgSpec::Distributed {
+            algorithm,
+            strategy,
+        } => match (build(spec, job.seed)?, profile) {
+            (Built::Concrete(inst), Profile::Full) => {
+                concrete_job::<FullRecorder>(spec, job, inst, algorithm, strategy, pool, ctx)?
+            }
+            (Built::Concrete(inst), Profile::Stats) => {
+                concrete_job::<StatsRecorder>(spec, job, inst, algorithm, strategy, pool, ctx)?
+            }
+            (Built::Concrete(inst), Profile::Compressed) => {
+                concrete_job::<CompressedRecorder>(spec, job, inst, algorithm, strategy, pool, ctx)?
+            }
+            (Built::Adversarial(layout), Profile::Full) => {
+                let run = single_adversarial(&spec.name, layout, algorithm, strategy, pool, ctx)?;
+                let tuple = AdmissibleTuple {
+                    ell: run.ell,
+                    rho: run.rho,
+                    n: run.n,
+                };
+                let peak = run.schedule.memory_bytes();
+                distributed_result(spec, job, &tuple, None, &run.report, peak)
+            }
+            (Built::Adversarial(_), profile) => {
+                return Err(ExpError::Unsupported(format!(
+                    "adversarial scenario '{}' needs the full profile, not {profile}",
+                    spec.name
+                )))
+            }
+        },
+        AlgSpec::Central(_) | AlgSpec::CentralAnytime | AlgSpec::CentralOptimal => {
+            central_job(spec, job, &pool, &ctx.cancel)?
         }
-        None => StatsRecorder::with_capacity(n),
     };
-    let mut sim = Sim::with_recorder(world, recorder)
-        .with_pool(pool)
-        .with_cancel(ctx.cancel.clone());
-    dispatch(&mut sim, &tuple, algorithm, strategy, &mut ctx.scratch)?;
-    let looks = sim.world().look_count();
-    let all_awake = sim.world().all_awake();
-    let (_, rec, _) = sim.into_recorder_parts();
-    let out = StatsRun {
-        n: tuple.n,
-        ell: tuple.ell,
-        rho: tuple.rho,
-        makespan: rec.makespan(),
-        completion_time: rec.completion_time(),
-        max_energy: rec.max_energy(),
-        total_energy: rec.total_energy(),
-        looks,
-        all_awake,
-        peak_mem_bytes: rec.memory_bytes(),
-    };
-    // Bank the recorder for the worker's next stats job.
-    ctx.stats_recorder = Some(rec);
-    Ok(out)
+    result.wall_time_s = started.elapsed().as_secs_f64();
+    Ok(result)
 }
 
-/// The measurements of one compressed-recorder run: the aggregate numbers
-/// of a [`StatsRun`] plus the codec's own footprint figures. Unlike the
-/// stats path, every compressed run has passed the streaming validator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompressedRun {
-    /// Number of sleeping robots.
-    pub n: usize,
-    /// Connectivity parameter ℓ handed to the algorithm.
-    pub ell: f64,
-    /// Radius bound ρ handed to the algorithm.
-    pub rho: f64,
-    /// Time the last robot was woken.
-    pub makespan: f64,
-    /// Time the last robot stopped moving.
-    pub completion_time: f64,
-    /// Worst per-robot travel.
-    pub max_energy: f64,
-    /// Total travel of the swarm.
-    pub total_energy: f64,
-    /// `look` snapshots taken.
-    pub looks: usize,
-    /// Whether every robot ended awake.
-    pub all_awake: bool,
-    /// Recorder heap footprint (deterministic estimate, bytes).
-    pub peak_mem_bytes: usize,
-    /// Encoded schedule payload alone (segment + wake streams, bytes).
-    pub compressed_bytes: usize,
-    /// Encoded payload divided by the number of recorded move segments.
-    pub bytes_per_move: f64,
+/// Executes job `job` of `plan` inside a worker-resident [`JobContext`].
+pub(crate) fn execute_job(
+    plan: &ExperimentPlan,
+    job: &JobSpec,
+    ctx: &mut JobContext,
+) -> Result<JobResult, ExpError> {
+    let pool = ParPool::new(plan.sim_threads.max(1));
+    run_job(&plan.scenarios[job.scenario], job, plan.profile, pool, ctx)
 }
 
-/// Runs one scenario × algorithm × seed combination under the
-/// [`freezetag_sim::CompressedRecorder`]: the full schedule is kept in
-/// delta-encoded blocks (~an order of magnitude smaller than the flat
-/// segment store) and the run is checked by the streaming validator,
-/// block by block — full-fidelity validation at `--profile stats` scale.
-/// No ξ_ℓ is measured. The aggregate numbers match a full-profile run
-/// bit-for-bit. This is the execution path behind `--profile compressed`.
-///
-/// # Errors
-///
-/// Registry errors, validation failures, or [`ExpError::Unsupported`] for
-/// non-distributed algorithms and adversarial scenarios (the theorem
-/// checks need a materialized [`Schedule`]).
-#[deprecated(note = "use Engine::new(EngineConfig::default()).single_compressed(...)")]
-pub fn run_single_compressed(
+fn concrete_job<R: Recording>(
     spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
-) -> Result<CompressedRun, ExpError> {
-    single_compressed(
-        spec,
-        alg,
-        seed,
-        ParPool::sequential(),
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// [`run_single_compressed`] with an explicit [`ParPool`] for
-/// deterministic intra-run parallelism — the
-/// `--profile compressed --sim-threads` execution path. All returned
-/// numbers (including `peak_mem_bytes`) are bit-identical for any pool
-/// width.
-///
-/// # Errors
-///
-/// As [`run_single_compressed`].
-#[deprecated(note = "use Engine::single_compressed with EngineConfig::sim_threads")]
-pub fn run_single_compressed_with(
-    spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
-    pool: ParPool,
-) -> Result<CompressedRun, ExpError> {
-    single_compressed(
-        spec,
-        alg,
-        seed,
-        pool,
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// The compressed-profile single-run core: delta-encoded schedule blocks
-/// plus streaming validation.
-pub(crate) fn single_compressed(
-    spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
+    job: &JobSpec,
+    inst: Instance,
+    algorithm: Algorithm,
+    strategy: Option<WakeStrategy>,
     pool: ParPool,
     ctx: &mut JobContext,
-) -> Result<CompressedRun, ExpError> {
-    let AlgSpec::Distributed {
-        algorithm,
-        strategy,
-    } = alg
-    else {
-        return Err(ExpError::Unsupported(format!(
-            "run_single_compressed needs a distributed algorithm, got {}",
-            alg.label()
-        )));
-    };
-    let inst = registry::build_instance(&spec.generator, &spec.params, seed)
-        .map_err(|e| ExpError::Registry(format!("scenario '{}': {e}", spec.name)))?;
-    let tuple = tuple_for(spec, &inst, &pool)?;
-    // The instance stays alive (unlike the stats path): the streaming
-    // validator needs the initial positions to check wake sites.
-    let world = ConcreteWorld::with_pool(&inst, &pool);
-    let mut sim = Sim::with_compressed(world)
-        .with_pool(pool)
-        .with_cancel(ctx.cancel.clone());
-    dispatch(&mut sim, &tuple, algorithm, strategy, &mut ctx.scratch)?;
-    let looks = sim.world().look_count();
-    let all_awake = sim.world().all_awake();
-    let (_, rec, _) = sim.into_recorder_parts();
-    let label = AlgSpec::Distributed {
-        algorithm,
-        strategy,
-    }
-    .label();
-    let vr = validate_compressed(
-        &rec,
-        inst.source(),
-        inst.positions(),
-        &ValidationOptions::default(),
-    )
-    .map_err(|e| ExpError::validation(&spec.name, &label, e))?;
-    Ok(CompressedRun {
+) -> Result<JobResult, ExpError> {
+    let run = run_concrete::<R>(spec, inst, algorithm, strategy, pool, ctx)?;
+    let peak = run.recorder.memory_bytes();
+    let result = distributed_result(spec, job, &run.tuple, run.xi_ell, &run.report, peak);
+    run.recorder.bank(ctx);
+    Ok(result)
+}
+
+/// The canonical generator name a record reports.
+fn generator_name(spec: &ScenarioSpec) -> String {
+    registry::lookup(&spec.generator)
+        .map(|g| g.name.to_string())
+        .unwrap_or_else(|| spec.generator.clone())
+}
+
+/// The record of a distributed job, whichever profile recorded it
+/// (`wall_time_s` is filled in by [`run_job`]).
+fn distributed_result(
+    spec: &ScenarioSpec,
+    job: &JobSpec,
+    tuple: &AdmissibleTuple,
+    xi_ell: Option<f64>,
+    report: &RunReport,
+    peak_mem_bytes: usize,
+) -> JobResult {
+    JobResult {
+        job: job.index,
+        scenario: spec.name.clone(),
+        generator: generator_name(spec),
+        algorithm: job.algorithm.label(),
+        seed: job.seed,
+        seed_index: job.seed_index,
         n: tuple.n,
         ell: tuple.ell,
         rho: tuple.rho,
-        makespan: vr.makespan,
-        completion_time: vr.completion_time,
-        max_energy: vr.max_energy,
-        total_energy: vr.total_energy,
-        looks,
-        all_awake,
-        peak_mem_bytes: rec.memory_bytes(),
-        compressed_bytes: rec.compressed_bytes(),
-        bytes_per_move: rec.bytes_per_move(),
-    })
+        xi_ell,
+        makespan: report.makespan,
+        completion_time: report.completion_time,
+        max_energy: report.max_energy,
+        total_energy: report.total_energy,
+        looks: report.looks,
+        all_awake: report.all_awake,
+        peak_mem_bytes: peak_mem_bytes as f64,
+        wall_time_s: 0.0,
+    }
 }
 
+/// The record of a centralized baseline job (`wall_time_s` is filled in
+/// by [`run_job`]).
 fn central_job(
     spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
+    job: &JobSpec,
     pool: &ParPool,
     cancel: &CancelToken,
-) -> Result<(usize, f64, f64, f64, f64), ExpError> {
-    let inst = registry::build_instance(&spec.generator, &spec.params, seed)?;
+) -> Result<JobResult, ExpError> {
+    let inst = registry::build_instance(&spec.generator, &spec.params, job.seed)
+        .map_err(|e| ExpError::Registry(format!("scenario '{}': {e}", spec.name)))?;
     let items: Vec<(RobotId, Point)> = inst
         .positions()
         .iter()
         .enumerate()
         .map(|(i, &p)| (RobotId::sleeper(i), p))
         .collect();
-    let (makespan, total) = match alg {
+    let (makespan, total_energy) = match job.algorithm {
         AlgSpec::Central(strategy) => {
             let tree = strategy.build(inst.source(), &items);
             (tree.makespan(), tree.total_length())
@@ -693,7 +574,7 @@ fn central_job(
                 inst.source(),
                 &items,
                 &AnytimeConfig::default(),
-                seed,
+                job.seed,
                 pool,
                 cancel,
             );
@@ -710,127 +591,31 @@ fn central_job(
             let m = optimal_makespan(inst.source(), inst.positions());
             (m, f64::NAN)
         }
-        AlgSpec::Distributed { .. } => unreachable!("routed to run_single"),
+        AlgSpec::Distributed { .. } => unreachable!("run_job routes distributed jobs elsewhere"),
     };
     let tuple = tuple_for(spec, &inst, pool)?;
-    Ok((inst.n(), tuple.ell, tuple.rho, makespan, total))
-}
-
-/// Executes one job of a plan inside a worker-resident [`JobContext`] —
-/// the single execution path behind the [`Engine`](crate::Engine) workers
-/// and (through a throwaway context) the deprecated shims.
-pub(crate) fn execute_job_ctx(
-    plan: &ExperimentPlan,
-    job: &JobSpec,
-    ctx: &mut JobContext,
-) -> Result<JobResult, ExpError> {
-    let spec = &plan.scenarios[job.scenario];
-    let pool = ParPool::new(plan.sim_threads.max(1));
-    let generator = registry::lookup(&spec.generator)
-        .map(|g| g.name.to_string())
-        .unwrap_or_else(|| spec.generator.clone());
-    let started = Instant::now();
-    let result = match job.algorithm {
-        AlgSpec::Distributed { .. } if plan.profile == Profile::Compressed => {
-            let run = single_compressed(spec, job.algorithm, job.seed, pool, ctx)?;
-            JobResult {
-                job: job.index,
-                scenario: spec.name.clone(),
-                generator,
-                algorithm: job.algorithm.label(),
-                seed: job.seed,
-                seed_index: job.seed_index,
-                n: run.n,
-                ell: run.ell,
-                rho: run.rho,
-                xi_ell: None,
-                makespan: run.makespan,
-                completion_time: run.completion_time,
-                max_energy: run.max_energy,
-                total_energy: run.total_energy,
-                looks: run.looks,
-                all_awake: run.all_awake,
-                peak_mem_bytes: run.peak_mem_bytes as f64,
-                wall_time_s: 0.0,
-            }
-        }
-        AlgSpec::Distributed { .. } if plan.profile == Profile::Stats => {
-            let run = single_stats(spec, job.algorithm, job.seed, pool, ctx)?;
-            JobResult {
-                job: job.index,
-                scenario: spec.name.clone(),
-                generator,
-                algorithm: job.algorithm.label(),
-                seed: job.seed,
-                seed_index: job.seed_index,
-                n: run.n,
-                ell: run.ell,
-                rho: run.rho,
-                xi_ell: None,
-                makespan: run.makespan,
-                completion_time: run.completion_time,
-                max_energy: run.max_energy,
-                total_energy: run.total_energy,
-                looks: run.looks,
-                all_awake: run.all_awake,
-                peak_mem_bytes: run.peak_mem_bytes as f64,
-                wall_time_s: 0.0,
-            }
-        }
-        AlgSpec::Distributed { .. } => {
-            let run = single_full(spec, job.algorithm, job.seed, pool, ctx)?;
-            JobResult {
-                job: job.index,
-                scenario: spec.name.clone(),
-                generator,
-                algorithm: job.algorithm.label(),
-                seed: job.seed,
-                seed_index: job.seed_index,
-                n: run.n,
-                ell: run.ell,
-                rho: run.rho,
-                xi_ell: run.xi_ell,
-                makespan: run.report.makespan,
-                completion_time: run.report.completion_time,
-                max_energy: run.report.max_energy,
-                total_energy: run.report.total_energy,
-                looks: run.report.looks,
-                all_awake: run.report.all_awake,
-                peak_mem_bytes: run.schedule.memory_bytes() as f64,
-                wall_time_s: 0.0,
-            }
-        }
-        AlgSpec::Central(_) | AlgSpec::CentralAnytime | AlgSpec::CentralOptimal => {
-            let (n, ell, rho, makespan, total_energy) =
-                central_job(spec, job.algorithm, job.seed, &pool, &ctx.cancel)?;
-            JobResult {
-                job: job.index,
-                scenario: spec.name.clone(),
-                generator,
-                algorithm: job.algorithm.label(),
-                seed: job.seed,
-                seed_index: job.seed_index,
-                n,
-                ell,
-                rho,
-                xi_ell: None,
-                makespan,
-                completion_time: makespan,
-                // A wake tree's makespan is a multi-robot critical path,
-                // not any single robot's travel — per-robot energy is
-                // simply not measured by the centralized baselines.
-                max_energy: f64::NAN,
-                total_energy,
-                looks: 0,
-                all_awake: true,
-                peak_mem_bytes: f64::NAN,
-                wall_time_s: 0.0,
-            }
-        }
-    };
     Ok(JobResult {
-        wall_time_s: started.elapsed().as_secs_f64(),
-        ..result
+        job: job.index,
+        scenario: spec.name.clone(),
+        generator: generator_name(spec),
+        algorithm: job.algorithm.label(),
+        seed: job.seed,
+        seed_index: job.seed_index,
+        n: inst.n(),
+        ell: tuple.ell,
+        rho: tuple.rho,
+        xi_ell: None,
+        makespan,
+        completion_time: makespan,
+        // A wake tree's makespan is a multi-robot critical path, not any
+        // single robot's travel — per-robot energy is simply not measured
+        // by the centralized baselines.
+        max_energy: f64::NAN,
+        total_energy,
+        looks: 0,
+        all_awake: true,
+        peak_mem_bytes: f64::NAN,
+        wall_time_s: 0.0,
     })
 }
 
@@ -849,190 +634,9 @@ pub fn inter_job_workers(threads: usize, sim_threads: usize, jobs: usize) -> usi
     (budget / sim_threads.max(1)).clamp(1, jobs.max(1))
 }
 
-/// Executes the plan's full cross-product on a worker pool and returns
-/// the results in job order. `threads` is the total core budget, split
-/// between inter-job workers and each job's `sim_threads`-wide intra-job
-/// pool by [`inter_job_workers`]. All result fields except `wall_time_s`
-/// are independent of both thread axes.
-///
-/// # Errors
-///
-/// Plan validation errors before anything runs. A failing job makes
-/// workers stop picking up further jobs (in-flight jobs finish), and the
-/// lowest-indexed recorded failure is returned.
-#[deprecated(note = "use Engine::with_threads(threads).run(plan)")]
-pub fn run_plan(plan: &ExperimentPlan, threads: usize) -> Result<Vec<JobResult>, ExpError> {
-    crate::engine::Engine::with_threads(threads).run(plan)
-}
-
-/// [`run_plan`] without the `O(jobs)` result vector: every [`JobResult`]
-/// is handed to `on_result` in strict job order as soon as it (and every
-/// lower-indexed job) has finished, then dropped. Workers run ahead of
-/// the in-order emission point by at most a bounded reorder window, so
-/// peak memory is `O(workers)` results regardless of plan size — the
-/// execution path behind `dftp sweep --out FILE`, where each record goes
-/// straight to disk.
-///
-/// Everything `on_result` observes is byte-identical (bar `wall_time_s`)
-/// to the corresponding entry of [`run_plan`]'s result vector, for any
-/// thread count.
-///
-/// # Errors
-///
-/// Plan validation errors before anything runs. A failing job makes
-/// workers stop picking up further jobs (in-flight jobs finish), and the
-/// lowest-indexed failure is returned; results preceding it have already
-/// been emitted by then — callers streaming to a file should treat an
-/// `Err` as truncating the output.
-#[deprecated(note = "use Engine::with_threads(threads).run_streaming(plan, on_result)")]
-pub fn run_plan_streaming(
-    plan: &ExperimentPlan,
-    threads: usize,
-    on_result: impl FnMut(&JobResult),
-) -> Result<(), ExpError> {
-    crate::engine::Engine::with_threads(threads).run_streaming(plan, on_result)
-}
-
-// The shims above are this module's public contract with pre-Engine
-// callers, so the tests exercise the deprecated surface on purpose —
-// pinning that every shim still produces the Engine's exact output.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::plan::ScenarioSpec;
-
-    fn tiny_plan() -> ExperimentPlan {
-        ExperimentPlan::new("tiny")
-            .scenario(
-                ScenarioSpec::new("disk")
-                    .with("n", 12.0)
-                    .with("radius", 4.0),
-            )
-            .algorithm(Algorithm::Grid)
-            .algorithm(Algorithm::Wave)
-            .seeds(2)
-            .plan_seed(7)
-    }
-
-    #[test]
-    fn run_plan_reports_in_job_order_and_wakes_everyone() {
-        let results = run_plan(&tiny_plan(), 2).expect("plan runs");
-        assert_eq!(results.len(), 4);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.job, i);
-            assert!(r.all_awake, "job {i} left robots asleep");
-            assert_eq!(r.n, 12);
-            assert!(r.makespan > 0.0);
-            assert!(r.xi_ell.is_some());
-        }
-        assert_eq!(results[0].algorithm, "AGrid");
-        assert_eq!(results[2].algorithm, "AWave");
-    }
-
-    #[test]
-    fn results_are_identical_for_any_thread_count() {
-        let plan = tiny_plan();
-        let a = run_plan(&plan, 1).unwrap();
-        let b = run_plan(&plan, 4).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            let mut y = y.clone();
-            y.wall_time_s = x.wall_time_s;
-            assert_eq!(*x, y, "job {} differs across thread counts", x.job);
-        }
-    }
-
-    #[test]
-    fn results_are_identical_for_any_sim_thread_count() {
-        let base = tiny_plan();
-        let a = run_plan(&base, 1).unwrap();
-        for sim_threads in [2, 4] {
-            let b = run_plan(&base.clone().sim_threads(sim_threads), 2).unwrap();
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                let mut y = y.clone();
-                y.wall_time_s = x.wall_time_s;
-                assert_eq!(*x, y, "job {} differs at sim_threads={sim_threads}", x.job);
-            }
-        }
-    }
-
-    #[test]
-    fn compressed_profile_matches_full_profile_bitwise() {
-        let full = run_plan(&tiny_plan(), 2).unwrap();
-        let compressed = run_plan(&tiny_plan().profile(Profile::Compressed), 2).unwrap();
-        assert_eq!(full.len(), compressed.len());
-        for (f, c) in full.iter().zip(&compressed) {
-            assert_eq!(f.makespan.to_bits(), c.makespan.to_bits(), "job {}", f.job);
-            assert_eq!(f.completion_time.to_bits(), c.completion_time.to_bits());
-            assert_eq!(f.max_energy.to_bits(), c.max_energy.to_bits());
-            assert_eq!(f.total_energy.to_bits(), c.total_energy.to_bits());
-            assert_eq!(f.looks, c.looks);
-            assert!(c.all_awake);
-            assert_eq!(c.xi_ell, None, "compressed profile skips ξ_ℓ");
-            assert!(
-                c.peak_mem_bytes < f.peak_mem_bytes,
-                "compressed recorder ({}) must undercut the flat store ({})",
-                c.peak_mem_bytes,
-                f.peak_mem_bytes
-            );
-        }
-    }
-
-    #[test]
-    fn compressed_single_run_reports_codec_figures() {
-        let spec = ScenarioSpec::new("disk")
-            .with("n", 30.0)
-            .with("radius", 6.0);
-        let run = run_single_compressed(&spec, Algorithm::Wave.into(), 5).unwrap();
-        assert!(run.all_awake);
-        assert!(run.compressed_bytes > 0);
-        assert!(run.compressed_bytes < run.peak_mem_bytes);
-        assert!(
-            run.bytes_per_move.is_finite() && run.bytes_per_move > 0.0,
-            "bytes/move {}",
-            run.bytes_per_move
-        );
-        let err = run_single_compressed(&spec, AlgSpec::CentralOptimal, 5).unwrap_err();
-        assert!(matches!(err, ExpError::Unsupported(_)), "{err}");
-    }
-
-    #[test]
-    fn streaming_runner_emits_run_plan_results_in_order() {
-        let plan = tiny_plan().profile(Profile::Compressed);
-        let buffered = run_plan(&plan, 2).unwrap();
-        for threads in [1, 4] {
-            let mut streamed = Vec::new();
-            run_plan_streaming(&plan, threads, |r| streamed.push(r.clone())).unwrap();
-            assert_eq!(streamed.len(), buffered.len());
-            for (s, b) in streamed.iter().zip(&buffered) {
-                let mut s = s.clone();
-                s.wall_time_s = b.wall_time_s;
-                assert_eq!(s, *b, "job {} differs at threads={threads}", b.job);
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_runner_surfaces_the_lowest_indexed_failure() {
-        // Same failing plan as the buffered abort test: central[optimal]
-        // refuses n > 10. Everything before the first failing job index
-        // must still have been emitted, in order.
-        let plan = ExperimentPlan::new("abort-stream")
-            .scenario(
-                ScenarioSpec::new("disk")
-                    .with("n", 50.0)
-                    .with("radius", 8.0),
-            )
-            .algorithm(Algorithm::Grid)
-            .algorithm(AlgSpec::CentralOptimal)
-            .seeds(2);
-        let mut streamed = Vec::new();
-        let err = run_plan_streaming(&plan, 2, |r| streamed.push(r.job)).unwrap_err();
-        assert!(matches!(err, ExpError::Unsupported(_)), "{err}");
-        assert_eq!(streamed, vec![0, 1], "AGrid jobs precede the failure");
-    }
 
     #[test]
     fn scheduler_splits_the_core_budget_between_axes() {
@@ -1042,121 +646,5 @@ mod tests {
         assert_eq!(inter_job_workers(7, 2, 100), 3, "rounds down: 6 <= 7");
         assert_eq!(inter_job_workers(16, 1, 3), 3, "never exceeds job count");
         assert_eq!(inter_job_workers(0, 0, 0), 1, "degenerate inputs clamp");
-    }
-
-    #[test]
-    fn strategy_override_runs_and_mismatches_error() {
-        let spec = ScenarioSpec::new("disk")
-            .with("n", 15.0)
-            .with("radius", 5.0);
-        let run = run_single(&spec, AlgSpec::separator_with(WakeStrategy::Chain), 3).unwrap();
-        assert!(run.report.all_awake);
-        let err = run_single(
-            &spec,
-            AlgSpec::Distributed {
-                algorithm: Algorithm::Grid,
-                strategy: Some(WakeStrategy::Chain),
-            },
-            3,
-        )
-        .unwrap_err();
-        assert!(matches!(err, ExpError::Unsupported(_)));
-    }
-
-    #[test]
-    fn central_baselines_and_optimal_run_through_the_engine() {
-        let plan = ExperimentPlan::new("central")
-            .scenario(ScenarioSpec::new("disk").with("n", 6.0).with("radius", 4.0))
-            .algorithm(AlgSpec::Central(WakeStrategy::Quadtree))
-            .algorithm(AlgSpec::Central(WakeStrategy::Greedy))
-            .algorithm(AlgSpec::CentralOptimal);
-        let results = run_plan(&plan, 2).unwrap();
-        assert_eq!(results.len(), 3);
-        let opt = results[2].makespan;
-        assert!(opt > 0.0);
-        assert!(results[0].makespan >= opt - 1e-9, "quadtree beats optimal?");
-        assert!(results[1].makespan >= opt - 1e-9, "greedy beats optimal?");
-    }
-
-    #[test]
-    fn central_and_distributed_jobs_report_one_scale_family_tuple() {
-        // A scale family declares ℓ: the central baseline must report the
-        // tuple its paired distributed run was handed, not the exact ℓ*.
-        let spec = ScenarioSpec::new("uniform_1m")
-            .with("n", 300.0)
-            .with("radius", 10.0);
-        let plan = ExperimentPlan::new("paired")
-            .scenario(spec.clone())
-            .algorithm(Algorithm::Grid)
-            .algorithm(AlgSpec::Central(WakeStrategy::Greedy));
-        let results = run_plan(&plan, 1).unwrap();
-        assert_eq!(results.len(), 2);
-        let (grid, central) = (&results[0], &results[1]);
-        assert_eq!(grid.ell, 4.0, "the family's declared ℓ");
-        assert_eq!(central.ell.to_bits(), grid.ell.to_bits());
-        assert_eq!(central.rho.to_bits(), grid.rho.to_bits());
-        let inst = registry::build_instance(&spec.generator, &spec.params, grid.seed).unwrap();
-        assert_ne!(
-            inst.admissible_tuple().ell,
-            grid.ell,
-            "the exact ℓ* must differ, or this test pins nothing"
-        );
-    }
-
-    #[test]
-    fn central_results_aggregate_and_emit_without_panicking() {
-        // Regression: central jobs leave per-robot energy (and, for the
-        // exact optimum, total energy) unmeasured as NaN — aggregation
-        // must skip them and the JSON emitters must render null.
-        let plan = ExperimentPlan::new("central-agg")
-            .scenario(ScenarioSpec::new("disk").with("n", 6.0).with("radius", 4.0))
-            .algorithm(AlgSpec::CentralOptimal)
-            .algorithm(AlgSpec::Central(WakeStrategy::Quadtree))
-            .seeds(2);
-        let results = run_plan(&plan, 2).expect("plan runs");
-        let aggregates = crate::agg::aggregate(&results);
-        assert_eq!(aggregates.len(), 2);
-        assert!(aggregates[0].max_energy.mean.is_nan());
-        let json = crate::emit::aggregates_to_json(&plan, &aggregates);
-        assert!(
-            json.contains("\"max_energy\":{\"mean\":null"),
-            "unmeasured energy must emit null: {json}"
-        );
-        let csv = crate::emit::jobs_to_csv(&results);
-        assert!(!csv.contains("NaN"), "NaN leaked into CSV: {csv}");
-    }
-
-    #[test]
-    fn failing_job_aborts_the_plan_with_its_error() {
-        // central[optimal] refuses n > 10; the error must surface instead
-        // of the runner running (or hanging on) the remaining jobs.
-        let plan = ExperimentPlan::new("abort")
-            .scenario(
-                ScenarioSpec::new("disk")
-                    .with("n", 50.0)
-                    .with("radius", 8.0),
-            )
-            .algorithm(AlgSpec::CentralOptimal)
-            .algorithm(Algorithm::Grid)
-            .seeds(4);
-        let err = run_plan(&plan, 2).unwrap_err();
-        assert!(matches!(err, ExpError::Unsupported(_)), "{err}");
-    }
-
-    #[test]
-    fn adversarial_scenario_runs_separator_through_the_engine() {
-        let plan = ExperimentPlan::new("adv")
-            .scenario(
-                ScenarioSpec::new("theorem2")
-                    .with("ell", 2.0)
-                    .with("rho", 8.0)
-                    .with("n", 40.0),
-            )
-            .algorithm(Algorithm::Separator);
-        let results = run_plan(&plan, 1).unwrap();
-        assert_eq!(results.len(), 1);
-        assert!(results[0].all_awake, "adversarial robots must all wake");
-        assert!(results[0].looks > 0);
-        assert_eq!(results[0].xi_ell, None);
     }
 }

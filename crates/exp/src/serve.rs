@@ -37,7 +37,7 @@
 
 use crate::emit;
 use crate::engine::{Engine, EngineConfig, SubmitOptions};
-use crate::plan::{AlgSpec, ExperimentPlan, Profile, ScenarioSpec};
+use crate::plan::ExperimentPlan;
 use crate::ExpError;
 use freezetag_sim::CancelToken;
 use std::collections::{HashMap, VecDeque};
@@ -509,58 +509,15 @@ fn plan_from_params(
             return Err(format!("duplicate option '{key}'"));
         }
     }
-    const KNOWN: &[&str] = &[
-        "scenarios",
-        "algs",
-        "seeds",
-        "plan-seed",
-        "profile",
-        "sim-threads",
-        "name",
-        "deadline-s",
-    ];
     for key in opts.keys() {
-        if !KNOWN.contains(&key.as_str()) {
+        if !ExperimentPlan::OPTION_KEYS.contains(&key.as_str()) && key != "deadline-s" {
             return Err(format!(
-                "unknown option '{key}' (expected one of {})",
-                KNOWN.join(", ")
+                "unknown option '{key}' (expected one of {}, deadline-s)",
+                ExperimentPlan::OPTION_KEYS.join(", ")
             ));
         }
     }
-    let scenarios_text = opts
-        .get("scenarios")
-        .ok_or("plan requires scenarios= (e.g. scenarios=disk:n=40,ring)")?;
-    let scenarios: Vec<ScenarioSpec> = scenarios_text
-        .split(',')
-        .map(ScenarioSpec::parse)
-        .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())?;
-    let algs_text = opts
-        .get("algs")
-        .map(String::as_str)
-        .unwrap_or("separator,grid,wave");
-    let algorithms: Vec<AlgSpec> = algs_text
-        .split(',')
-        .map(AlgSpec::parse)
-        .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())?;
-    let profile = match opts.get("profile") {
-        None => Profile::Full,
-        Some(text) => Profile::parse(text).map_err(|e| e.to_string())?,
-    };
-    let parse_u = |key: &str, default: usize| -> Result<usize, String> {
-        match opts.get(key) {
-            None => Ok(default),
-            Some(text) => text
-                .trim()
-                .parse::<usize>()
-                .map_err(|_| format!("option '{key}' wants an unsigned integer, got {text:?}")),
-        }
-    };
-    let sim_threads = parse_u("sim-threads", 1)?;
-    if sim_threads == 0 {
-        return Err("sim-threads must be at least 1".to_string());
-    }
+    let plan = ExperimentPlan::from_options(&opts, "serve", "").map_err(|e| e.to_string())?;
     let deadline = match opts.get("deadline-s") {
         None => None,
         Some(text) => {
@@ -573,16 +530,11 @@ fn plan_from_params(
                     "deadline-s must be positive and finite, got {text:?}"
                 ));
             }
-            Some(Duration::from_secs_f64(seconds))
+            let budget = Duration::try_from_secs_f64(seconds)
+                .map_err(|_| format!("deadline-s {text:?} is too large for a duration"))?;
+            Some(budget)
         }
     };
-    let mut plan = ExperimentPlan::new(opts.get("name").map(String::as_str).unwrap_or("serve"))
-        .seeds(parse_u("seeds", 3)?)
-        .plan_seed(parse_u("plan-seed", 1)? as u64)
-        .profile(profile)
-        .sim_threads(sim_threads);
-    plan.scenarios = scenarios;
-    plan.algorithms = algorithms;
     plan.validate().map_err(|e| e.to_string())?;
     Ok((plan, deadline))
 }
@@ -800,6 +752,7 @@ fn stream_plan(stream: &mut TcpStream, entry: &PlanEntry) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Profile;
 
     #[test]
     fn request_head_parses_the_routes_we_serve() {
@@ -859,6 +812,17 @@ mod tests {
         assert_eq!(deadline, Some(Duration::from_secs_f64(1.5)));
         assert!(plan_from_params(&parse_params("scenarios=disk&bogus=1").unwrap()).is_err());
         assert!(plan_from_params(&parse_params("algs=grid").unwrap()).is_err());
+    }
+
+    #[test]
+    fn oversized_deadline_is_an_error_not_a_panic() {
+        // Positive and finite, but past what a Duration can hold.
+        let err =
+            plan_from_params(&parse_params("scenarios=disk&deadline-s=1e20").unwrap()).unwrap_err();
+        assert!(err.contains("deadline-s"), "{err}");
+        let (_, deadline) =
+            plan_from_params(&parse_params("scenarios=disk&deadline-s=1e9").unwrap()).unwrap();
+        assert_eq!(deadline, Some(Duration::from_secs(1_000_000_000)));
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //!
 //! Membership tests run through the [`crate::kernel`] scans: each chain is
 //! gathered into small stack-resident coordinate buffers (preserving chain
-//! order) and the buffer is tested as one batch — the scalar kernel by
-//! default, the wide lane kernel under the `simd` feature, with identical
-//! emissions either way.
+//! order) and the buffer is tested as one batch by the wide lane kernels.
 
 use crate::cellmap::{CellMap, EMPTY};
 use crate::kernel;

@@ -83,9 +83,8 @@ impl CellWindow {
 ///
 /// The build additionally stores a cell-ordered copy of the coordinates
 /// (the `xs`/`ys` permuted into CSR order), so a cell scan is a pair of
-/// contiguous slice loads feeding the [`crate::kernel`] membership
-/// kernels — scalar by default, the wide lane kernel under the `simd`
-/// cargo feature, with identical results either way.
+/// contiguous slice loads feeding the wide [`crate::kernel`] membership
+/// kernels.
 ///
 /// # Example
 ///

@@ -4,49 +4,39 @@
 //! given a cell's candidate coordinates in struct-of-arrays layout, test
 //! each candidate against a disk or an axis-aligned rectangle and emit the
 //! offsets that pass. At 10⁵–10⁶-robot scale that loop runs ~5·10⁸ times
-//! per `AWave` sweep, so this module provides it in two interchangeable
-//! shapes:
-//!
-//! * the **scalar** kernels ([`disk_scan_scalar`], [`rect_scan_scalar`]) —
-//!   one candidate per iteration;
-//! * the **wide** kernels ([`disk_scan_wide`], [`rect_scan_wide`]) — a
-//!   hand-unrolled block of [`LANES`] candidates per iteration plus a
-//!   scalar tail. The block is straight-line lane arithmetic with no
-//!   early exits, exactly the shape LLVM's auto-vectorizer turns into
-//!   `f64x4` SIMD on any target (the workspace pins stable Rust, so
-//!   `core::simd` is out of reach and no intrinsics are used).
-//!
-//! The dispatched entry points ([`disk_scan`], [`rect_scan`],
-//! [`disk_any`]) select the wide kernels when the crate is built with the
-//! `simd` cargo feature and the scalar kernels otherwise. **Both variants
-//! are always compiled**, so the scalar-vs-wide parity proptests below and
-//! the `sensing` criterion bench compare them in every configuration.
+//! per `AWave` sweep, so the kernels here ([`disk_scan`], [`rect_scan`],
+//! [`disk_any`]) process a hand-unrolled block of [`LANES`] candidates per
+//! iteration plus a scalar tail. The block is straight-line lane
+//! arithmetic with no early exits, exactly the shape LLVM's
+//! auto-vectorizer turns into `f64x4` SIMD on any target (the workspace
+//! pins stable Rust, so `core::simd` is out of reach and no intrinsics are
+//! used).
 //!
 //! # Determinism
 //!
-//! The workspace's byte-identical-output contract survives because the
-//! two variants are *provably* the same function, not merely close:
+//! The kernels compute exactly what a one-candidate-per-iteration loop
+//! does, and the tests keep such a loop as an oracle (the parity
+//! proptests below):
 //!
-//! * both evaluate the identical per-candidate predicate — for disks
-//!   `dx·dx + dy·dy <= accept²` and for rectangles four closed compares —
-//!   using the same IEEE-754 double operations in the same order per
-//!   candidate, with no fused-multiply-add, reassociation, or reduced
-//!   precision anywhere;
-//! * both emit accepted offsets in strictly ascending order: the wide
-//!   kernel computes a block's lane mask first, then walks the mask bits
-//!   lane 0 to lane [`LANES`]` - 1`.
+//! * the per-candidate predicate — for disks `dx·dx + dy·dy <= accept²`
+//!   and for rectangles four closed compares — uses the same IEEE-754
+//!   double operations in the same order per candidate, with no
+//!   fused-multiply-add, reassociation, or reduced precision anywhere;
+//! * accepted offsets are emitted in strictly ascending order: a block's
+//!   lane mask is computed first, then its bits are walked lane 0 to lane
+//!   [`LANES`]` - 1`.
 //!
-//! Only the *grouping* of iterations differs, and grouping is observable
-//! neither in the emitted sequence nor in any float result. The
-//! schedule-identity pins (`tests/schedule_identity.rs`) and the CI
-//! determinism matrix hold with either kernel selected.
+//! Only the *grouping* of iterations differs from the plain loop, and
+//! grouping is observable neither in the emitted sequence nor in any
+//! float result.
 
 /// Candidates per wide-kernel block. Four doubles fill one AVX2 register;
 /// on wider units LLVM unrolls further on its own.
 pub const LANES: usize = 4;
 
-/// Scalar disk-membership scan: calls `emit(k)` for every `k` with
-/// `(xs[k] - qx)² + (ys[k] - qy)² <= accept_sq`, in ascending `k`.
+/// Disk-membership scan: calls `emit(k)` for every `k` with
+/// `(xs[k] - qx)² + (ys[k] - qy)² <= accept_sq`, in ascending `k`,
+/// processing [`LANES`] candidates per straight-line block.
 ///
 /// `accept_sq` is the squared acceptance radius — callers square their
 /// `r + EPS` once per query. Slices must have equal length (the shorter
@@ -55,39 +45,16 @@ pub const LANES: usize = 4;
 /// # Example
 ///
 /// ```
-/// use freezetag_graph::kernel::disk_scan_scalar;
+/// use freezetag_graph::kernel::disk_scan;
 ///
 /// let xs = [0.0, 1.0, 3.0];
 /// let ys = [0.0, 0.0, 0.0];
 /// let mut hits = Vec::new();
-/// disk_scan_scalar(&xs, &ys, 0.0, 0.0, 1.0, |k| hits.push(k));
+/// disk_scan(&xs, &ys, 0.0, 0.0, 1.0, |k| hits.push(k));
 /// assert_eq!(hits, vec![0, 1]);
 /// ```
 #[inline]
-pub fn disk_scan_scalar(
-    xs: &[f64],
-    ys: &[f64],
-    qx: f64,
-    qy: f64,
-    accept_sq: f64,
-    mut emit: impl FnMut(usize),
-) {
-    debug_assert_eq!(xs.len(), ys.len());
-    let n = xs.len().min(ys.len());
-    for k in 0..n {
-        let dx = xs[k] - qx;
-        let dy = ys[k] - qy;
-        if dx * dx + dy * dy <= accept_sq {
-            emit(k);
-        }
-    }
-}
-
-/// Wide disk-membership scan: same emitted sequence as
-/// [`disk_scan_scalar`] (see the [module docs](self) for the argument),
-/// processing [`LANES`] candidates per straight-line block.
-#[inline]
-pub fn disk_scan_wide(
+pub fn disk_scan(
     xs: &[f64],
     ys: &[f64],
     qx: f64,
@@ -129,70 +96,44 @@ pub fn disk_scan_wide(
     }
 }
 
-/// Disk-membership scan with build-time kernel dispatch: the wide kernel
-/// under the `simd` cargo feature, the scalar kernel otherwise. The two
-/// emit byte-identical sequences (module docs), so the feature only moves
-/// time, never results.
-#[inline]
-pub fn disk_scan(
-    xs: &[f64],
-    ys: &[f64],
-    qx: f64,
-    qy: f64,
-    accept_sq: f64,
-    emit: impl FnMut(usize),
-) {
-    if cfg!(feature = "simd") {
-        disk_scan_wide(xs, ys, qx, qy, accept_sq, emit);
-    } else {
-        disk_scan_scalar(xs, ys, qx, qy, accept_sq, emit);
-    }
-}
-
 /// Existence variant of [`disk_scan`]: whether any candidate lies in the
-/// disk. Early-exits at block granularity; existence is order-free, so
-/// both kernels trivially agree.
+/// disk. Early-exits at block granularity (existence is order-free).
 #[inline]
 pub fn disk_any(xs: &[f64], ys: &[f64], qx: f64, qy: f64, accept_sq: f64) -> bool {
-    if cfg!(feature = "simd") {
-        debug_assert_eq!(xs.len(), ys.len());
-        let n = xs.len().min(ys.len());
-        let mut base = 0;
-        while base + LANES <= n {
-            let d0x = xs[base] - qx;
-            let d0y = ys[base] - qy;
-            let d1x = xs[base + 1] - qx;
-            let d1y = ys[base + 1] - qy;
-            let d2x = xs[base + 2] - qx;
-            let d2y = ys[base + 2] - qy;
-            let d3x = xs[base + 3] - qx;
-            let d3y = ys[base + 3] - qy;
-            if (d0x * d0x + d0y * d0y <= accept_sq)
-                | (d1x * d1x + d1y * d1y <= accept_sq)
-                | (d2x * d2x + d2y * d2y <= accept_sq)
-                | (d3x * d3x + d3y * d3y <= accept_sq)
-            {
-                return true;
-            }
-            base += LANES;
+    debug_assert_eq!(xs.len(), ys.len());
+    let n = xs.len().min(ys.len());
+    let mut base = 0;
+    while base + LANES <= n {
+        let d0x = xs[base] - qx;
+        let d0y = ys[base] - qy;
+        let d1x = xs[base + 1] - qx;
+        let d1y = ys[base + 1] - qy;
+        let d2x = xs[base + 2] - qx;
+        let d2y = ys[base + 2] - qy;
+        let d3x = xs[base + 3] - qx;
+        let d3y = ys[base + 3] - qy;
+        if (d0x * d0x + d0y * d0y <= accept_sq)
+            | (d1x * d1x + d1y * d1y <= accept_sq)
+            | (d2x * d2x + d2y * d2y <= accept_sq)
+            | (d3x * d3x + d3y * d3y <= accept_sq)
+        {
+            return true;
         }
-        for k in base..n {
-            let dx = xs[k] - qx;
-            let dy = ys[k] - qy;
-            if dx * dx + dy * dy <= accept_sq {
-                return true;
-            }
-        }
-        false
-    } else {
-        let mut hit = false;
-        disk_scan_scalar(xs, ys, qx, qy, accept_sq, |_| hit = true);
-        hit
+        base += LANES;
     }
+    for k in base..n {
+        let dx = xs[k] - qx;
+        let dy = ys[k] - qy;
+        if dx * dx + dy * dy <= accept_sq {
+            return true;
+        }
+    }
+    false
 }
 
-/// Scalar rectangle-membership scan: calls `emit(k)` for every `k` with
-/// `x0 <= xs[k] <= x1 && y0 <= ys[k] <= y1`, in ascending `k`.
+/// Rectangle-membership scan: calls `emit(k)` for every `k` with
+/// `x0 <= xs[k] <= x1 && y0 <= ys[k] <= y1`, in ascending `k`, [`LANES`]
+/// candidates per block.
 ///
 /// Bounds are closed and taken as given — callers fold their `EPS` slack
 /// in once (`x0 = min.x - EPS`, …), which reproduces `Rect::contains`
@@ -201,39 +142,17 @@ pub fn disk_any(xs: &[f64], ys: &[f64], qx: f64, qy: f64, accept_sq: f64) -> boo
 /// # Example
 ///
 /// ```
-/// use freezetag_graph::kernel::rect_scan_scalar;
+/// use freezetag_graph::kernel::rect_scan;
 ///
 /// let xs = [0.5, 2.0, 1.0];
 /// let ys = [0.5, 0.5, 3.0];
 /// let mut hits = Vec::new();
-/// rect_scan_scalar(&xs, &ys, 0.0, 0.0, 1.5, 1.5, |k| hits.push(k));
+/// rect_scan(&xs, &ys, 0.0, 0.0, 1.5, 1.5, |k| hits.push(k));
 /// assert_eq!(hits, vec![0]);
 /// ```
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub fn rect_scan_scalar(
-    xs: &[f64],
-    ys: &[f64],
-    x0: f64,
-    y0: f64,
-    x1: f64,
-    y1: f64,
-    mut emit: impl FnMut(usize),
-) {
-    debug_assert_eq!(xs.len(), ys.len());
-    let n = xs.len().min(ys.len());
-    for k in 0..n {
-        if xs[k] >= x0 && xs[k] <= x1 && ys[k] >= y0 && ys[k] <= y1 {
-            emit(k);
-        }
-    }
-}
-
-/// Wide rectangle-membership scan: same emitted sequence as
-/// [`rect_scan_scalar`], [`LANES`] candidates per block.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn rect_scan_wide(
+pub fn rect_scan(
     xs: &[f64],
     ys: &[f64],
     x0: f64,
@@ -278,29 +197,48 @@ pub fn rect_scan_wide(
     }
 }
 
-/// Rectangle-membership scan with build-time kernel dispatch (`simd`
-/// feature → wide, default → scalar; identical emissions either way).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn rect_scan(
-    xs: &[f64],
-    ys: &[f64],
-    x0: f64,
-    y0: f64,
-    x1: f64,
-    y1: f64,
-    emit: impl FnMut(usize),
-) {
-    if cfg!(feature = "simd") {
-        rect_scan_wide(xs, ys, x0, y0, x1, y1, emit);
-    } else {
-        rect_scan_scalar(xs, ys, x0, y0, x1, y1, emit);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-candidate-per-iteration disk loop: the oracle the tests hold
+    /// [`disk_scan`] to.
+    fn disk_scan_scalar(
+        xs: &[f64],
+        ys: &[f64],
+        qx: f64,
+        qy: f64,
+        accept_sq: f64,
+        mut emit: impl FnMut(usize),
+    ) {
+        let n = xs.len().min(ys.len());
+        for k in 0..n {
+            let dx = xs[k] - qx;
+            let dy = ys[k] - qy;
+            if dx * dx + dy * dy <= accept_sq {
+                emit(k);
+            }
+        }
+    }
+
+    /// The one-candidate-per-iteration rectangle loop: the oracle the tests
+    /// hold [`rect_scan`] to.
+    fn rect_scan_scalar(
+        xs: &[f64],
+        ys: &[f64],
+        x0: f64,
+        y0: f64,
+        x1: f64,
+        y1: f64,
+        mut emit: impl FnMut(usize),
+    ) {
+        let n = xs.len().min(ys.len());
+        for k in 0..n {
+            if xs[k] >= x0 && xs[k] <= x1 && ys[k] >= y0 && ys[k] <= y1 {
+                emit(k);
+            }
+        }
+    }
 
     fn collect_disk(
         wide: bool,
@@ -311,7 +249,7 @@ mod tests {
     ) -> Vec<usize> {
         let mut out = Vec::new();
         if wide {
-            disk_scan_wide(xs, ys, q.0, q.1, accept_sq, |k| out.push(k));
+            disk_scan(xs, ys, q.0, q.1, accept_sq, |k| out.push(k));
         } else {
             disk_scan_scalar(xs, ys, q.0, q.1, accept_sq, |k| out.push(k));
         }
@@ -321,7 +259,7 @@ mod tests {
     fn collect_rect(wide: bool, xs: &[f64], ys: &[f64], b: [f64; 4]) -> Vec<usize> {
         let mut out = Vec::new();
         if wide {
-            rect_scan_wide(xs, ys, b[0], b[1], b[2], b[3], |k| out.push(k));
+            rect_scan(xs, ys, b[0], b[1], b[2], b[3], |k| out.push(k));
         } else {
             rect_scan_scalar(xs, ys, b[0], b[1], b[2], b[3], |k| out.push(k));
         }

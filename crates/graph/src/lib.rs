@@ -33,13 +33,6 @@
 //! let g = DiskGraph::new(pts, 1.5);
 //! assert!(g.is_connected());
 //! ```
-//!
-//! # Features
-//!
-//! * `simd` — dispatch the range-query membership tests to the wide
-//!   (4-lane) kernels in [`kernel`] instead of the scalar ones. Pure
-//!   speed: results are byte-identical either way (both kernels are
-//!   always compiled and pinned against each other by parity proptests).
 
 #![warn(missing_docs)]
 

@@ -289,8 +289,8 @@ const ASLEEP: f64 = f64::NAN;
 /// float ops in the same order, so every aggregate is bit-identical to
 /// both other recorders (pinned by `recorder_parity`). Trajectories decode
 /// block-locally through [`CompressedRecorder::segments`] /
-/// [`ReplayRecorder::position_at`], which is what the streaming validator
-/// ([`validate_compressed`](crate::validate_compressed)) consumes.
+/// [`ReplayRecorder::position_at`], which is what the validator
+/// ([`validate`](crate::validate)) streams through.
 #[derive(Debug, Clone)]
 pub struct CompressedRecorder {
     // Indexed by RobotId::index(); NaN in `wake_times` means "asleep".

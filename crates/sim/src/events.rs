@@ -541,7 +541,7 @@ mod tests {
             &crate::ValidationOptions::default(),
         )
         .expect("full validates");
-        let streamed = crate::validate_compressed(
+        let streamed = crate::validate(
             &rec,
             Point::ORIGIN,
             inst.positions(),

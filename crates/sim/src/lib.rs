@@ -17,8 +17,9 @@
 //! 2. **Scheduling** — a [`Sim`] driver records every move/wait into
 //!    per-robot [`Timeline`]s, tracking time and energy exactly.
 //! 3. **Validation** — [`validate`] independently re-checks a finished
-//!    [`Schedule`]: timeline continuity, unit speed, motion only after
-//!    wake-up, wake co-location, full coverage, energy budgets.
+//!    run, flat [`Schedule`] or [`CompressedRecorder`]: timeline
+//!    continuity, unit speed, motion only after wake-up, wake co-location,
+//!    full coverage, energy budgets.
 //!
 //! A fourth, orthogonal layer is **deterministic intra-job parallelism**
 //! ([`par`]): a [`ParPool`] of scoped threads that worlds and drivers use
@@ -74,5 +75,7 @@ pub use record::{FullRecorder, Recorder, ReplayRecorder, StatsRecorder};
 pub use schedule::{Schedule, Segment, Timeline, WakeEvent};
 pub use sim::Sim;
 pub use trace::{Trace, TraceSpan};
-pub use validate::{validate, validate_compressed, ValidationOptions, ValidationReport};
+pub use validate::{
+    validate, validate_compressed, RecordedRun, ValidationOptions, ValidationReport,
+};
 pub use world::{ConcreteWorld, Sighting, WorldView};

@@ -14,8 +14,7 @@
 //!   what makes 10⁶-robot sweeps fit in memory.
 //! * [`CompressedRecorder`](crate::CompressedRecorder) — complete
 //!   trajectories in delta-encoded, block-compressed form (≤ 12 B/move),
-//!   validated by the streaming
-//!   [`validate_compressed`](crate::validate_compressed).
+//!   validated block by block by [`validate`](crate::validate).
 //!
 //! The recorders are *bit-identical* on every aggregate they share
 //! (makespan, completion time, per-robot wake times and travel, max/total

@@ -74,8 +74,8 @@ impl<W: WorldView> Sim<W, StatsRecorder> {
 impl<W: WorldView> Sim<W, CompressedRecorder> {
     /// Starts a block-compressed full-record simulation: complete
     /// trajectories at ≤ 12 B/move, validated by
-    /// [`validate_compressed`](crate::validate_compressed), with every
-    /// aggregate bit-identical to a [`FullRecorder`] run.
+    /// [`validate`](crate::validate), with every aggregate bit-identical
+    /// to a [`FullRecorder`] run.
     pub fn with_compressed(world: W) -> Self {
         let recorder = CompressedRecorder::with_capacity(world.n());
         Sim::with_recorder(world, recorder)

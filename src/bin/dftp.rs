@@ -18,8 +18,8 @@
 
 use freezetag::core::{bounds, run_algorithm, solve, Algorithm};
 use freezetag::exp::{
-    agg, emit, journal, serve, AlgSpec, Engine, EngineConfig, ExperimentPlan, Profile,
-    ScenarioSpec, SubmitOptions,
+    agg, emit, journal, serve, AlgSpec, Engine, EngineConfig, ExperimentPlan, ScenarioSpec,
+    SubmitOptions,
 };
 use freezetag::instances::registry::{self, GeneratorInfo, ParamMap};
 use freezetag::instances::{AdmissibleTuple, Instance};
@@ -328,7 +328,9 @@ fn cmd_solve_central(
                     if secs <= 0.0 || !secs.is_finite() {
                         return Err(format!("--time-budget must be positive, got {raw}"));
                     }
-                    Some(std::time::Duration::from_secs_f64(secs))
+                    let budget = std::time::Duration::try_from_secs_f64(secs)
+                        .map_err(|_| format!("--time-budget {raw} is too large for a duration"))?;
+                    Some(budget)
                 }
             };
             let config = AnytimeConfig {
@@ -500,43 +502,18 @@ fn cmd_generate(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
-    check_keys(
-        "sweep",
-        opts,
-        &[
-            "scenarios",
-            "algs",
-            "algorithms",
-            "seeds",
-            "plan-seed",
-            "threads",
-            "sim-threads",
-            "profile",
-            "format",
-            "flush-every",
-            "out",
-            "bench-json",
-            "name",
-            "resume",
-        ],
-    )?;
-    let scenarios_text = opts
-        .get("scenarios")
-        .ok_or("sweep requires --scenarios (e.g. --scenarios disk:n=40,ring)")?;
-    let scenarios: Vec<ScenarioSpec> = scenarios_text
-        .split(',')
-        .map(ScenarioSpec::parse)
-        .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())?;
-    let algs_text = opts
-        .get("algs")
-        .map(String::as_str)
-        .unwrap_or("separator,grid,wave");
-    let mut algorithms: Vec<AlgSpec> = algs_text
-        .split(',')
-        .map(AlgSpec::parse)
-        .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())?;
+    let mut allowed = ExperimentPlan::OPTION_KEYS.to_vec();
+    allowed.extend([
+        "algorithms",
+        "threads",
+        "format",
+        "flush-every",
+        "out",
+        "bench-json",
+        "resume",
+    ]);
+    check_keys("sweep", opts, &allowed)?;
+    let mut plan = ExperimentPlan::from_options(opts, "sweep", "--").map_err(|e| e.to_string())?;
     // --algorithms filters the plan's algorithm axis (perf work re-runs a
     // single algorithm's cells without editing the plan). Names are
     // validated through the same parser, so a typo fails loudly; a filter
@@ -548,11 +525,11 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
             .collect::<Result<_, _>>()
             .map_err(|e| e.to_string())?;
         for k in &keep {
-            if !algorithms.contains(k) {
+            if !plan.algorithms.contains(k) {
                 return Err(format!(
                     "--algorithms keeps '{}' but the plan's axis is [{}]",
                     k.label(),
-                    algorithms
+                    plan.algorithms
                         .iter()
                         .map(AlgSpec::label)
                         .collect::<Vec<_>>()
@@ -560,23 +537,8 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
                 ));
             }
         }
-        algorithms.retain(|a| keep.contains(a));
+        plan.algorithms.retain(|a| keep.contains(a));
     }
-    let profile = match opts.get("profile") {
-        None => Profile::Full,
-        Some(text) => Profile::parse(text).map_err(|e| e.to_string())?,
-    };
-    let sim_threads = get_u(opts, "sim-threads", 1)?;
-    if sim_threads == 0 {
-        return Err("--sim-threads must be at least 1 (use 1 for a sequential job)".to_string());
-    }
-    let mut plan = ExperimentPlan::new(opts.get("name").map(String::as_str).unwrap_or("sweep"))
-        .seeds(get_u(opts, "seeds", 3)?)
-        .plan_seed(get_u(opts, "plan-seed", 1)? as u64)
-        .profile(profile)
-        .sim_threads(sim_threads);
-    plan.scenarios = scenarios;
-    plan.algorithms = algorithms;
     let threads = get_u(opts, "threads", 1)?;
     // Reject a bad --format / --flush-every (and an invalid plan) before
     // the sweep runs — and before --out truncates an existing file — not

@@ -305,6 +305,33 @@ fn solve_central_anytime_rejects_zero_budget_and_zero_workers() {
 }
 
 #[test]
+fn solve_rejects_an_oversized_time_budget_cleanly() {
+    // Positive and finite, but too large for a Duration: an error with
+    // the usage text, not a panic.
+    let out = dftp(&[
+        "solve",
+        "--algorithm",
+        "central-anytime",
+        "--gen",
+        "disk",
+        "--n",
+        "20",
+        "--time-budget",
+        "1e20",
+    ]);
+    assert!(!out.status.success(), "--time-budget 1e20 must be rejected");
+    let err = stderr(&out);
+    assert!(
+        err.contains("--time-budget 1e20 is too large"),
+        "stderr: {err}"
+    );
+    assert!(
+        !err.contains("panicked"),
+        "must fail cleanly, not panic: {err}"
+    );
+}
+
+#[test]
 fn solve_central_option_combinations_are_validated() {
     // --workers/--time-budget without central-anytime.
     let out = dftp(&[

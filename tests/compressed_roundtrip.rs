@@ -162,12 +162,13 @@ proptest! {
 }
 
 /// A deterministic footprint pin on a real algorithm run through the
-/// engine's own execution paths (the synthetic ≤ 12 bytes/move pin on
+/// engine's own execution path (the synthetic ≤ 12 bytes/move pin on
 /// axis-aligned sweeps lives with the codec's unit tests; the Criterion
 /// harness measures the 10⁵ case).
 #[test]
 fn real_wave_run_compresses_well_below_the_flat_store() {
-    use freezetag::exp::{AlgSpec, Engine, ScenarioSpec};
+    use freezetag::core::{a_wave, AWaveConfig};
+    use freezetag::exp::{AlgSpec, Engine, Profile, ScenarioSpec};
     let spec = ScenarioSpec::new("wave_100k")
         .with("n", 2000.0)
         .with("radius", 20.0);
@@ -175,7 +176,7 @@ fn real_wave_run_compresses_well_below_the_flat_store() {
     let engine = Engine::default();
     let full = engine.single(&spec, alg, 7).expect("full run");
     let comp = engine
-        .single_compressed(&spec, alg, 7)
+        .single_job(&spec, alg, 7, Profile::Compressed)
         .expect("compressed run");
     assert!(comp.all_awake);
     assert_eq!(
@@ -183,13 +184,21 @@ fn real_wave_run_compresses_well_below_the_flat_store() {
         comp.makespan.to_bits(),
         "engine paths must agree bitwise"
     );
+    // The record carries the recorder footprint, not the codec's
+    // bytes/move: replay the job's recording and pin that it is the same
+    // recording (identical footprint) before reading the codec figure.
+    let inst = registry::build_instance(&spec.generator, &spec.params, 7).expect("builds");
+    let mut sim = Sim::with_compressed(ConcreteWorld::new(&inst));
+    a_wave(&mut sim, &AWaveConfig { ell: comp.ell });
+    let (_, rec, _) = sim.into_recorder_parts();
+    assert_eq!(rec.memory_bytes() as f64, comp.peak_mem_bytes);
     assert!(
-        comp.bytes_per_move <= 12.0,
+        rec.bytes_per_move() <= 12.0,
         "AWave encodes mostly axis-aligned sweeps; got {:.2} B/move",
-        comp.bytes_per_move
+        rec.bytes_per_move()
     );
     assert!(
-        comp.peak_mem_bytes * 3 <= full.schedule.memory_bytes(),
+        comp.peak_mem_bytes * 3.0 <= full.schedule.memory_bytes() as f64,
         "compressed {} vs flat {} bytes",
         comp.peak_mem_bytes,
         full.schedule.memory_bytes()

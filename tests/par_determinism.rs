@@ -10,7 +10,7 @@
 //! output bit.
 
 use freezetag::core::{run_algorithm, Algorithm};
-use freezetag::exp::{AlgSpec, Engine, EngineConfig, ScenarioSpec};
+use freezetag::exp::{AlgSpec, Engine, EngineConfig, Profile, ScenarioSpec};
 use freezetag::instances::registry;
 use freezetag::sim::{
     ConcreteWorld, ParPool, Recorder, RobotId, Schedule, Sim, StatsRecorder, WorldView,
@@ -214,10 +214,12 @@ fn scale_family_stats_are_bitwise_identical_across_pools() {
         .with("n", 20_000.0)
         .with("radius", 60.0);
     let alg = AlgSpec::from(Algorithm::Grid);
-    let seq = sim_engine(1).single_stats(&spec, alg, 42).expect("runs");
+    let seq = sim_engine(1)
+        .single_job(&spec, alg, 42, Profile::Stats)
+        .expect("runs");
     for threads in [2, 4] {
         let par = sim_engine(threads)
-            .single_stats(&spec, alg, 42)
+            .single_job(&spec, alg, 42, Profile::Stats)
             .expect("runs");
         assert_eq!(seq.n, par.n);
         assert!(par.all_awake);
@@ -242,7 +244,11 @@ fn scale_family_stats_are_bitwise_identical_across_pools() {
             "t={threads}"
         );
         assert_eq!(seq.looks, par.looks, "t={threads}");
-        assert_eq!(seq.peak_mem_bytes, par.peak_mem_bytes, "t={threads}");
+        assert_eq!(
+            seq.peak_mem_bytes.to_bits(),
+            par.peak_mem_bytes.to_bits(),
+            "t={threads}"
+        );
         assert_eq!(seq.ell.to_bits(), par.ell.to_bits(), "t={threads}");
         assert_eq!(seq.rho.to_bits(), par.rho.to_bits(), "t={threads}");
     }

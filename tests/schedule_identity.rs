@@ -210,7 +210,8 @@ const CASES: &[Case] = &[
 /// that cut `wave_100k` sensing volume ~40×. Cases whose teams never
 /// exceeded the cap (e.g. `disk/sep/s2`, `skewed/sep`) kept their seed
 /// hashes — everything else was regenerated with the helper below. The
-/// pins must be identical with and without `--features simd`.
+/// pins were recorded under the scalar membership kernels and hold
+/// unchanged under the wide ones that replaced them.
 const EXPECTED: &[(&str, u64)] = &[
     ("disk/sep", 0xe8b19251361f8ebe),
     ("disk/sep/greedy", 0x8597de3834af1466),

@@ -1,181 +1,244 @@
 //! Systematic corruption matrix for the schedule validator: every class of
 //! model violation must be caught. The validator is the trust anchor of
 //! the whole reproduction (DESIGN.md §3), so it gets its own suite.
+//!
+//! Every fault is recorded through the [`Recorder`] trait and checked on
+//! both stores the validator reads: a `FullRecorder`'s flat schedule and
+//! a `CompressedRecorder`'s delta-encoded blocks. Faults the codec cannot
+//! encode stay flat-only and live with the validator's unit tests: a
+//! segment whose `from` differs from the previous `to` (the codec implies
+//! `from`), and a faster-than-unit-speed move (the codec recomputes every
+//! end time as start + length).
 
 use freezetag::geometry::Point;
 use freezetag::instances::Instance;
 use freezetag::sim::{
-    validate, ConcreteWorld, RobotId, Schedule, Sim, SimError, ValidationOptions, WakeEvent,
+    validate, CompressedRecorder, ConcreteWorld, FullRecorder, Recorder, RobotId, Sim, SimError,
+    ValidationOptions, ValidationReport, WakeEvent,
 };
 
-/// A legal two-wake run used as the base for corruption.
-fn base_run() -> (Schedule, Instance) {
-    let inst = Instance::new(vec![Point::new(1.0, 0.0), Point::new(1.0, 2.0)]);
+/// A recording step applied identically to both stores.
+type Fault = dyn Fn(&mut dyn Recorder);
+
+/// Records `fault` into a fresh recorder of each store (sized for `n`
+/// sleepers) and validates both against `inst` — flat result first.
+fn validate_both(
+    n: usize,
+    inst: &Instance,
+    opts: &ValidationOptions,
+    fault: &Fault,
+) -> [Result<ValidationReport, SimError>; 2] {
+    let mut full = FullRecorder::with_capacity(n);
+    fault(&mut full);
+    let mut compressed = CompressedRecorder::with_capacity(n);
+    fault(&mut compressed);
+    [
+        validate(full.schedule(), inst.source(), inst.positions(), opts),
+        validate(&compressed, inst.source(), inst.positions(), opts),
+    ]
+}
+
+/// [`validate_both`] under default options, keeping only the errors.
+fn errors(inst: &Instance, fault: &Fault) -> [SimError; 2] {
+    validate_both(inst.n(), inst, &ValidationOptions::default(), fault)
+        .map(|r| r.expect_err("the fault must be caught"))
+}
+
+/// Wakes `target` at the waker's current time and place, as `Sim::wake`
+/// records it.
+fn wake(rec: &mut dyn Recorder, waker: RobotId, target: RobotId) {
+    let time = rec.current_time(waker).expect("waker is awake");
+    let pos = rec.current_pos(waker).expect("waker is awake");
+    rec.activate(target, time, pos);
+    rec.record_wake(WakeEvent {
+        waker,
+        target,
+        time,
+        pos,
+    });
+}
+
+fn base_instance() -> Instance {
+    Instance::new(vec![Point::new(1.0, 0.0), Point::new(1.0, 2.0)])
+}
+
+/// A legal two-wake run over [`base_instance`], the base for corruption.
+fn base_run(rec: &mut dyn Recorder) {
+    rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+    rec.move_to(RobotId::SOURCE, Point::new(1.0, 0.0));
+    wake(rec, RobotId::SOURCE, RobotId::sleeper(0));
+    rec.move_to(RobotId::sleeper(0), Point::new(1.0, 2.0));
+    wake(rec, RobotId::sleeper(0), RobotId::sleeper(1));
+}
+
+#[test]
+fn base_run_is_valid() {
+    let inst = base_instance();
+    let [flat, compressed] = validate_both(2, &inst, &ValidationOptions::default(), &base_run);
+    assert_eq!(
+        flat.expect("base run must validate"),
+        compressed.expect("base run must validate")
+    );
+    // The hand-recorded base run is exactly what the simulator records.
     let mut sim = Sim::new(ConcreteWorld::new(&inst));
     sim.move_to(RobotId::SOURCE, Point::new(1.0, 0.0));
     let r0 = sim.wake(RobotId::SOURCE, RobotId::sleeper(0));
     sim.move_to(r0, Point::new(1.0, 2.0));
     sim.wake(r0, RobotId::sleeper(1));
-    let (_, schedule, _) = sim.into_parts();
-    (schedule, inst)
-}
-
-fn check(schedule: &Schedule, inst: &Instance) -> Result<(), SimError> {
-    validate(
-        schedule,
-        inst.source(),
-        inst.positions(),
-        &ValidationOptions::default(),
-    )
-    .map(|_| ())
-}
-
-#[test]
-fn base_run_is_valid() {
-    let (schedule, inst) = base_run();
-    check(&schedule, &inst).expect("base run must validate");
+    let mut manual = FullRecorder::with_capacity(2);
+    base_run(&mut manual);
+    assert_eq!(sim.schedule().wakes(), manual.schedule().wakes());
 }
 
 #[test]
 fn missing_wake_event_is_caught() {
-    // Build a schedule where a robot has a timeline but no wake event.
+    // A robot has a timeline but no wake event.
     let inst = Instance::new(vec![Point::new(1.0, 0.0)]);
-    let mut schedule = Schedule::new(1);
-    schedule.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
-    schedule.activate(RobotId::sleeper(0), 1.0, Point::new(1.0, 0.0));
-    let err = check(&schedule, &inst).unwrap_err();
-    assert!(matches!(err, SimError::InvalidTimeline(_)), "{err}");
+    for err in errors(&inst, &|rec| {
+        rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+        rec.activate(RobotId::sleeper(0), 1.0, Point::new(1.0, 0.0));
+    }) {
+        assert!(matches!(err, SimError::InvalidTimeline(_)), "{err}");
+    }
 }
 
 #[test]
 fn wake_from_a_distance_is_caught() {
     let inst = Instance::new(vec![Point::new(5.0, 0.0)]);
-    let mut schedule = Schedule::new(1);
-    schedule.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
     // The source never moves, yet claims to wake a robot 5 away.
-    schedule.record_wake(WakeEvent {
-        waker: RobotId::SOURCE,
-        target: RobotId::sleeper(0),
-        time: 1.0,
-        pos: Point::new(5.0, 0.0),
-    });
-    schedule.activate(RobotId::sleeper(0), 1.0, Point::new(5.0, 0.0));
-    let err = check(&schedule, &inst).unwrap_err();
-    assert!(matches!(err, SimError::NotColocated { .. }), "{err}");
+    for err in errors(&inst, &|rec| {
+        rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+        rec.record_wake(WakeEvent {
+            waker: RobotId::SOURCE,
+            target: RobotId::sleeper(0),
+            time: 1.0,
+            pos: Point::new(5.0, 0.0),
+        });
+        rec.activate(RobotId::sleeper(0), 1.0, Point::new(5.0, 0.0));
+    }) {
+        assert!(matches!(err, SimError::NotColocated { .. }), "{err}");
+    }
 }
 
 #[test]
 fn wake_before_waker_is_awake_is_caught() {
     let inst = Instance::new(vec![Point::new(1.0, 0.0), Point::new(1.0, 0.5)]);
-    let mut schedule = Schedule::new(2);
-    schedule.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
-    schedule
-        .timeline_mut(RobotId::SOURCE)
-        .move_to(Point::new(1.0, 0.0));
-    schedule.record_wake(WakeEvent {
-        waker: RobotId::SOURCE,
-        target: RobotId::sleeper(0),
-        time: 1.0,
-        pos: Point::new(1.0, 0.0),
-    });
-    schedule.activate(RobotId::sleeper(0), 1.0, Point::new(1.0, 0.0));
-    // Robot 0 "wakes" robot 1 half a unit away at a time *before* robot 0
-    // itself was awake.
-    schedule.record_wake(WakeEvent {
-        waker: RobotId::sleeper(0),
-        target: RobotId::sleeper(1),
-        time: 0.5,
-        pos: Point::new(1.0, 0.5),
-    });
-    schedule.activate(RobotId::sleeper(1), 0.5, Point::new(1.0, 0.5));
-    let err = check(&schedule, &inst).unwrap_err();
-    assert!(matches!(err, SimError::Asleep(_)), "{err}");
+    for err in errors(&inst, &|rec| {
+        rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+        rec.move_to(RobotId::SOURCE, Point::new(1.0, 0.0));
+        wake(rec, RobotId::SOURCE, RobotId::sleeper(0));
+        // Robot 0 "wakes" robot 1 half a unit away at a time *before*
+        // robot 0 itself was awake.
+        rec.record_wake(WakeEvent {
+            waker: RobotId::sleeper(0),
+            target: RobotId::sleeper(1),
+            time: 0.5,
+            pos: Point::new(1.0, 0.5),
+        });
+        rec.activate(RobotId::sleeper(1), 0.5, Point::new(1.0, 0.5));
+    }) {
+        assert!(matches!(err, SimError::Asleep(_)), "{err}");
+    }
 }
 
 #[test]
 fn double_wake_is_caught() {
-    let (mut schedule, inst) = base_run();
-    let first = schedule.wakes()[0];
-    schedule.record_wake(first);
-    let err = check(&schedule, &inst).unwrap_err();
-    assert!(matches!(err, SimError::AlreadyAwake(_)), "{err}");
+    for err in errors(&base_instance(), &|rec| {
+        base_run(rec);
+        let mut first = None;
+        rec.for_each_wake_from(0, &mut |w| {
+            first.get_or_insert(*w);
+        });
+        rec.record_wake(first.expect("the base run wakes"));
+    }) {
+        assert!(matches!(err, SimError::AlreadyAwake(_)), "{err}");
+    }
 }
 
 #[test]
 fn wrong_initial_position_is_caught() {
-    let (schedule, _) = base_run();
     // Validate against *shifted* ground-truth positions.
     let wrong = Instance::new(vec![Point::new(1.5, 0.0), Point::new(1.0, 2.0)]);
-    let err = check(&schedule, &wrong).unwrap_err();
-    assert!(matches!(err, SimError::InvalidTimeline(_)), "{err}");
+    for err in errors(&wrong, &base_run) {
+        assert!(matches!(err, SimError::InvalidTimeline(_)), "{err}");
+    }
 }
 
 #[test]
 fn superluminal_motion_is_caught() {
-    let inst = Instance::new(vec![Point::new(100.0, 0.0)]);
-    let mut schedule = Schedule::new(1);
-    schedule.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
     // A timeline that covers 100 units in ~0 time would be needed; the
-    // Timeline API cannot even express it, so we check the validator's
-    // speed test through the test-only tamper hook exercised in the sim
-    // crate. Here: a *teleporting* wake position (event at the robot's
-    // position while the waker path ends elsewhere).
-    schedule
-        .timeline_mut(RobotId::SOURCE)
-        .move_to(Point::new(1.0, 0.0));
-    schedule.record_wake(WakeEvent {
-        waker: RobotId::SOURCE,
-        target: RobotId::sleeper(0),
-        time: 1.0,
-        pos: Point::new(100.0, 0.0),
-    });
-    schedule.activate(RobotId::sleeper(0), 1.0, Point::new(100.0, 0.0));
-    let err = check(&schedule, &inst).unwrap_err();
-    assert!(matches!(err, SimError::NotColocated { .. }), "{err}");
+    // Recorder API cannot even express it (the flat-only tamper hook in
+    // the sim crate's unit tests checks the speed test itself). Here: a
+    // *teleporting* wake position (event at the robot's position while
+    // the waker path ends elsewhere).
+    let inst = Instance::new(vec![Point::new(100.0, 0.0)]);
+    for err in errors(&inst, &|rec| {
+        rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+        rec.move_to(RobotId::SOURCE, Point::new(1.0, 0.0));
+        rec.record_wake(WakeEvent {
+            waker: RobotId::SOURCE,
+            target: RobotId::sleeper(0),
+            time: 1.0,
+            pos: Point::new(100.0, 0.0),
+        });
+        rec.activate(RobotId::sleeper(0), 1.0, Point::new(100.0, 0.0));
+    }) {
+        assert!(matches!(err, SimError::NotColocated { .. }), "{err}");
+    }
 }
 
 #[test]
 fn incomplete_coverage_is_caught_and_waivable() {
     let inst = Instance::new(vec![Point::new(1.0, 0.0), Point::new(50.0, 0.0)]);
-    let mut sim = Sim::new(ConcreteWorld::new(&inst));
-    sim.move_to(RobotId::SOURCE, Point::new(1.0, 0.0));
-    sim.wake(RobotId::SOURCE, RobotId::sleeper(0));
-    let (_, schedule, _) = sim.into_parts();
-    let err = check(&schedule, &inst).unwrap_err();
-    assert_eq!(err, SimError::NotAllAwake { asleep: 1 });
+    let partial: &Fault = &|rec| {
+        rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+        rec.move_to(RobotId::SOURCE, Point::new(1.0, 0.0));
+        wake(rec, RobotId::SOURCE, RobotId::sleeper(0));
+    };
+    for err in errors(&inst, partial) {
+        assert_eq!(err, SimError::NotAllAwake { asleep: 1 });
+    }
     let lax = ValidationOptions {
         require_all_awake: false,
         ..Default::default()
     };
-    validate(&schedule, inst.source(), inst.positions(), &lax).expect("waived");
+    for result in validate_both(2, &inst, &lax, partial) {
+        result.expect("waived");
+    }
 }
 
 #[test]
 fn energy_budgets_are_binding_edges() {
-    let (schedule, inst) = base_run();
+    let inst = base_instance();
     // Worst robot travels exactly 2 (source: 1, r0: 2).
     let exact = ValidationOptions {
         energy_budget: Some(2.0),
         ..Default::default()
     };
-    validate(&schedule, inst.source(), inst.positions(), &exact).expect("budget met exactly");
+    for result in validate_both(2, &inst, &exact, &base_run) {
+        result.expect("budget met exactly");
+    }
     let tight = ValidationOptions {
         energy_budget: Some(1.99),
         ..Default::default()
     };
-    let err = validate(&schedule, inst.source(), inst.positions(), &tight).unwrap_err();
-    assert!(matches!(err, SimError::EnergyExceeded { .. }), "{err}");
+    for result in validate_both(2, &inst, &tight, &base_run) {
+        let err = result.unwrap_err();
+        assert!(matches!(err, SimError::EnergyExceeded { .. }), "{err}");
+    }
 }
 
 #[test]
 fn source_waking_itself_is_caught() {
-    let (mut schedule, inst) = base_run();
-    schedule.record_wake(WakeEvent {
-        waker: RobotId::sleeper(0),
-        target: RobotId::SOURCE,
-        time: 2.0,
-        pos: Point::ORIGIN,
-    });
-    let err = check(&schedule, &inst).unwrap_err();
-    assert!(matches!(err, SimError::InvalidTimeline(_)), "{err}");
+    for err in errors(&base_instance(), &|rec| {
+        base_run(rec);
+        rec.record_wake(WakeEvent {
+            waker: RobotId::sleeper(0),
+            target: RobotId::SOURCE,
+            time: 2.0,
+            pos: Point::ORIGIN,
+        });
+    }) {
+        assert!(matches!(err, SimError::InvalidTimeline(_)), "{err}");
+    }
 }
