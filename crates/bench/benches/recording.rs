@@ -1,8 +1,9 @@
 //! Criterion benchmark of the full recording stack at production scale:
 //! the same `AGrid` run on the same 10⁵-robot instance recorded by the
 //! flat `FullRecorder`, the constant-memory `StatsRecorder`, and the
-//! delta-encoded `CompressedRecorder` — plus the two validation paths
-//! (flat and streaming) on prebuilt runs. Before any timing, the harness
+//! delta-encoded `CompressedRecorder` — plus the validation paths (flat,
+//! streaming, and streaming on a two-thread pool as a 2-core job runs it)
+//! on prebuilt runs. Before any timing, the harness
 //! prints the footprint comparison (total bytes and bytes per recorded
 //! move) that backs the `--profile compressed` claim: full fidelity at a
 //! fraction of the flat store's memory, ≤ 12 bytes per move.
@@ -12,8 +13,8 @@ use freezetag_core::{a_grid, AGridConfig};
 use freezetag_instances::registry::{self, ParamMap};
 use freezetag_instances::Instance;
 use freezetag_sim::{
-    validate, CompressedRecorder, ConcreteWorld, Recorder, Schedule, Sim, ValidationOptions,
-    WorldView,
+    validate, validate_with_pool, CompressedRecorder, ConcreteWorld, ParPool, Recorder, Schedule,
+    Sim, ValidationOptions, WorldView,
 };
 use std::hint::black_box;
 
@@ -108,6 +109,20 @@ fn bench_recording(c: &mut Criterion) {
                     inst.source(),
                     inst.positions(),
                     &ValidationOptions::default(),
+                )
+                .expect("compressed run validates"),
+            )
+        });
+    });
+    g.bench_function("agrid_100k_validate_streaming_pool2", |b| {
+        b.iter(|| {
+            black_box(
+                validate_with_pool(
+                    &rec,
+                    inst.source(),
+                    inst.positions(),
+                    &ValidationOptions::default(),
+                    &ParPool::new(2),
                 )
                 .expect("compressed run validates"),
             )

@@ -20,10 +20,11 @@ use freezetag_core::{
 use freezetag_geometry::Point;
 use freezetag_instances::registry::{self, Built};
 use freezetag_instances::{AdmissibleTuple, Instance};
+use freezetag_sim::par::PAR_VALIDATE_MIN;
 use freezetag_sim::{
-    validate, AdversarialWorld, CancelToken, CompressedRecorder, ConcreteWorld, FullRecorder,
-    ParPool, Recorder, RobotId, Schedule, Sim, SimError, StatsRecorder, ValidationOptions,
-    ValidationReport, WorldView,
+    validate, validate_with_pool, AdversarialWorld, CancelToken, CompressedRecorder, ConcreteWorld,
+    FullRecorder, ParPool, RecordedRun, Recorder, RobotId, Schedule, Sim, SimError, StatsRecorder,
+    ValidationOptions, ValidationReport, WorldView,
 };
 use std::time::Instant;
 
@@ -197,11 +198,12 @@ trait Recording: Recorder + Sized {
 
     /// The finishing step: the run's measured numbers and ξ_ℓ (evaluated
     /// at `ell`, the tuple's rounded ℓ), after whatever validation the
-    /// profile performs.
+    /// profile performs on the job's `pool`.
     fn finish(
         &self,
         inst: &Instance,
         ell: f64,
+        pool: &ParPool,
     ) -> Result<(ValidationReport, Option<f64>), SimError>;
 
     /// Hands the recorder back to the worker once the job is measured.
@@ -218,13 +220,9 @@ impl Recording for FullRecorder {
         &self,
         inst: &Instance,
         ell: f64,
+        pool: &ParPool,
     ) -> Result<(ValidationReport, Option<f64>), SimError> {
-        let report = validate(
-            self.schedule(),
-            inst.source(),
-            inst.positions(),
-            &ValidationOptions::default(),
-        )?;
+        let report = validate_on_job_pool(self.schedule(), inst, pool)?;
         // For ordinary scenarios the radius/threshold pass is already paid
         // inside tuple_for; for the preset-ℓ scale families this Dijkstra
         // is the first (and only) graph pass of the run.
@@ -246,7 +244,12 @@ impl Recording for StatsRecorder {
         }
     }
 
-    fn finish(&self, _: &Instance, _: f64) -> Result<(ValidationReport, Option<f64>), SimError> {
+    fn finish(
+        &self,
+        _: &Instance,
+        _: f64,
+        _: &ParPool,
+    ) -> Result<(ValidationReport, Option<f64>), SimError> {
         Ok((unvalidated(self), None))
     }
 
@@ -255,22 +258,43 @@ impl Recording for StatsRecorder {
     }
 }
 
-/// `compressed`: delta-encoded blocks, checked by [`validate`] one block
-/// per robot at a time; no ξ_ℓ.
+/// `compressed`: delta-encoded event streams, checked by [`validate`]
+/// one decoded segment at a time; no ξ_ℓ.
 impl Recording for CompressedRecorder {
     fn start(n: usize, _: &mut JobContext) -> Self {
         CompressedRecorder::with_capacity(n)
     }
 
-    fn finish(&self, inst: &Instance, _: f64) -> Result<(ValidationReport, Option<f64>), SimError> {
-        let report = validate(
-            self,
-            inst.source(),
-            inst.positions(),
-            &ValidationOptions::default(),
-        )?;
-        Ok((report, None))
+    fn finish(
+        &self,
+        inst: &Instance,
+        _: f64,
+        pool: &ParPool,
+    ) -> Result<(ValidationReport, Option<f64>), SimError> {
+        Ok((validate_on_job_pool(self, inst, pool)?, None))
     }
+}
+
+/// [`validate`] against `inst` under the default options, on the job's
+/// pool once the run has [`PAR_VALIDATE_MIN`] robots (the report and the
+/// first error do not depend on the pool width).
+fn validate_on_job_pool<R: RecordedRun>(
+    run: &R,
+    inst: &Instance,
+    pool: &ParPool,
+) -> Result<ValidationReport, SimError> {
+    let pool = if inst.n() < PAR_VALIDATE_MIN {
+        ParPool::sequential()
+    } else {
+        *pool
+    };
+    validate_with_pool(
+        run,
+        inst.source(),
+        inst.positions(),
+        &ValidationOptions::default(),
+        &pool,
+    )
 }
 
 /// A recorder's own aggregates in the shape of a validation report, for
@@ -323,7 +347,7 @@ fn run_concrete<R: Recording>(
     let looks = sim.world().look_count();
     let (_, recorder, trace) = sim.into_recorder_parts();
     let (vr, xi_ell) = recorder
-        .finish(&inst, tuple.ell)
+        .finish(&inst, tuple.ell, &pool)
         .map_err(|e| ExpError::validation(&spec.name, &label(algorithm, strategy), e))?;
     Ok(ConcreteRun {
         report: RunReport::from_parts(algorithm, vr, looks, inst.n(), trace),

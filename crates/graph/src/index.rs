@@ -3,14 +3,16 @@ use freezetag_geometry::Point;
 
 /// Dense row-major directory over the occupied cell bounding box: cell
 /// `(i, j)` maps to `ids[(j - min.1) * w + (i - min.0)]` (the dense cell
-/// id, or [`EMPTY`]).
+/// id, or [`EMPTY`]). The ids themselves are row-major too: they count
+/// the occupied cells in key order, so reading `ids` front to back yields
+/// `0, 1, 2, …` with gaps only at [`EMPTY`] slots.
 ///
 /// Range queries hit the directory instead of probing the open-addressing
 /// [`CellMap`] once per scanned cell — a plain array load, and queries
 /// outside the bounding box reject after the clamp without touching memory
-/// at all. The sparse map is kept as the fallback for point sets whose
-/// bounding box is too large to enumerate densely (long adversarial paths,
-/// far-flung stragglers).
+/// at all. The sparse map is the fallback for point sets whose bounding
+/// box is too large to enumerate densely (long adversarial paths,
+/// far-flung stragglers); an index has one directory or the other.
 #[derive(Debug, Clone, PartialEq)]
 struct CellWindow {
     min: (i64, i64),
@@ -26,43 +28,60 @@ struct CellWindow {
 }
 
 impl CellWindow {
-    /// Builds the window when the occupied bounding box stays within
-    /// `budget` cells; returns `None` otherwise (fallback to the sparse
-    /// directory).
-    fn build(cells: &CellMap, cell: f64, budget: usize) -> Option<CellWindow> {
-        if cells.len() == 0 {
-            return None;
+    /// Buckets `keys` into a window over their bounding box when it stays
+    /// within `budget` cells; `None` otherwise (fallback to the sparse
+    /// directory). No hashing: one counting pass over the keys, then one
+    /// pass over the window that numbers the occupied cells row-major —
+    /// ids in key order without a sort — so the occupied cells of a window
+    /// row own one contiguous CSR range. Returns the window, the point
+    /// count of every cell id, and every point's cell id.
+    fn bucket(
+        keys: &[(i64, i64)],
+        cell: f64,
+        budget: usize,
+    ) -> Option<(CellWindow, Vec<u32>, Vec<u32>)> {
+        let (&first, rest) = keys.split_first()?;
+        let (mut min, mut max) = (first, first);
+        for k in rest {
+            min = (min.0.min(k.0), min.1.min(k.1));
+            max = (max.0.max(k.0), max.1.max(k.1));
         }
-        let (mut min, mut max) = ((i64::MAX, i64::MAX), (i64::MIN, i64::MIN));
-        cells.for_each(|k, _| {
-            min.0 = min.0.min(k.0);
-            min.1 = min.1.min(k.1);
-            max.0 = max.0.max(k.0);
-            max.1 = max.1.max(k.1);
-        });
         let w = max.0.checked_sub(min.0)?.checked_add(1)?;
         let h = max.1.checked_sub(min.1)?.checked_add(1)?;
         let area = (w as i128) * (h as i128);
         if area > budget as i128 {
             return None;
         }
-        let mut ids = vec![EMPTY; area as usize];
-        cells.for_each(|k, id| {
-            ids[((k.1 - min.1) * w + (k.0 - min.0)) as usize] = id;
-        });
+        let slot = |k: (i64, i64)| ((k.1 - min.1) * w + (k.0 - min.0)) as usize;
+        // Points per slot first, then overwritten by the cell id.
+        let mut ids = vec![0u32; area as usize];
+        for &k in keys {
+            ids[slot(k)] += 1;
+        }
+        let mut counts = Vec::new();
+        for id in &mut ids {
+            if *id == 0 {
+                *id = EMPTY;
+            } else {
+                counts.push(*id);
+                *id = counts.len() as u32 - 1;
+            }
+        }
+        let cell_of = keys.iter().map(|&k| ids[slot(k)]).collect();
         let reject = [
             (min.0 - 1) as f64 * cell,
             (min.1 - 1) as f64 * cell,
             (max.0 + 2) as f64 * cell,
             (max.1 + 2) as f64 * cell,
         ];
-        Some(CellWindow {
+        let window = CellWindow {
             min,
             w,
             h,
             ids,
             reject,
-        })
+        };
+        Some((window, counts, cell_of))
     }
 }
 
@@ -102,7 +121,8 @@ pub struct GridIndex {
     xs: Vec<f64>,
     ys: Vec<f64>,
     cell: f64,
-    /// Cell key → dense cell id (index into `starts`).
+    /// Cell key → dense cell id (index into `starts`) for point sets too
+    /// spread out for the window; empty when the window exists.
     cells: CellMap,
     /// Dense fast path over the occupied cell bounding box, when small
     /// enough (see [`GridIndex::WINDOW_BUDGET_PER_POINT`]).
@@ -134,13 +154,8 @@ impl GridIndex {
     ///
     /// Panics if `cell_width <= 0` or not finite.
     pub fn build(points: &[Point], cell_width: f64) -> Self {
-        // Keys stream lazily out of the coordinate pass, so the sequential
-        // build stays a fused single pass with no transient key buffer.
-        Self::assemble(
-            points,
-            cell_width,
-            points.iter().map(|&p| Self::key(p, cell_width)),
-        )
+        let keys: Vec<(i64, i64)> = points.iter().map(|&p| Self::key(p, cell_width)).collect();
+        Self::assemble(points, cell_width, &keys)
     }
 
     /// Builds an index from precomputed cell keys — `keys[i]` must equal
@@ -155,12 +170,12 @@ impl GridIndex {
     /// Panics if `cell_width` is invalid or the lengths disagree.
     pub fn build_from_keys(points: &[Point], cell_width: f64, keys: &[(i64, i64)]) -> Self {
         assert_eq!(points.len(), keys.len(), "one key per point");
-        Self::assemble(points, cell_width, keys.iter().copied())
+        Self::assemble(points, cell_width, keys)
     }
 
-    /// Shared CSR assembly over a key stream (lazy for [`GridIndex::build`],
-    /// a precomputed slice for [`GridIndex::build_from_keys`]).
-    fn assemble(points: &[Point], cell_width: f64, keys: impl Iterator<Item = (i64, i64)>) -> Self {
+    /// Shared CSR assembly over the key array. Cell ids are a function of
+    /// the keys alone — independent of how the keys were computed.
+    fn assemble(points: &[Point], cell_width: f64, keys: &[(i64, i64)]) -> Self {
         assert!(
             cell_width > 0.0 && cell_width.is_finite(),
             "invalid cell width"
@@ -172,21 +187,28 @@ impl GridIndex {
             xs.push(p.x);
             ys.push(p.y);
         }
-        // Pass 1: count points per distinct cell. Cell ids are assigned in
-        // first-occurrence order, so they are a function of the key array
-        // alone — independent of how the keys were computed.
+        // Pass 1: count points per distinct cell — through the dense
+        // window (row-major ids) when the bounding box fits its budget,
+        // else through the sparse map (first-occurrence ids).
+        let budget = (1 << 16).max(Self::WINDOW_BUDGET_PER_POINT * n);
         let mut cells = CellMap::new();
-        let mut counts: Vec<u32> = Vec::new();
-        let mut ids: Vec<u32> = Vec::with_capacity(n);
-        for key in keys {
-            let next = counts.len() as u32;
-            let id = cells.get_or_insert(key, next);
-            if id == next {
-                counts.push(0);
+        let (window, counts, ids) = match CellWindow::bucket(keys, cell_width, budget) {
+            Some((win, counts, ids)) => (Some(win), counts, ids),
+            None => {
+                let mut counts: Vec<u32> = Vec::new();
+                let mut ids: Vec<u32> = Vec::with_capacity(n);
+                for &key in keys {
+                    let next = counts.len() as u32;
+                    let id = cells.get_or_insert(key, next);
+                    if id == next {
+                        counts.push(0);
+                    }
+                    counts[id as usize] += 1;
+                    ids.push(id);
+                }
+                (None, counts, ids)
             }
-            counts[id as usize] += 1;
-            ids.push(id);
-        }
+        };
         // Pass 2: prefix sums, then scatter point indices. Scattering in
         // input order keeps each cell's slice ascending by point index.
         let mut starts = Vec::with_capacity(counts.len() + 1);
@@ -202,11 +224,6 @@ impl GridIndex {
             order[cursor[cid as usize] as usize] = i as u32;
             cursor[cid as usize] += 1;
         }
-        let window = CellWindow::build(
-            &cells,
-            cell_width,
-            (1 << 16).max(Self::WINDOW_BUDGET_PER_POINT * n),
-        );
         let mut cxs = Vec::with_capacity(n);
         let mut cys = Vec::with_capacity(n);
         for &i in &order {
@@ -283,11 +300,25 @@ impl GridIndex {
         &self.order[self.starts[cid as usize] as usize..self.starts[cid as usize + 1] as usize]
     }
 
-    /// Calls `f(key, members)` once per occupied cell (in directory
-    /// order): the hook for cell-level passes such as the connectivity
-    /// threshold's, which pair up whole cells instead of querying points.
+    /// Calls `f(key, members)` once per occupied cell: the hook for
+    /// cell-level passes such as the connectivity threshold's, which pair
+    /// up whole cells instead of querying points. With the dense window
+    /// the walk is row-major over the window — ascending cell id, so the
+    /// member slices are visited in memory order; the sparse directory is
+    /// walked in table order.
     pub(crate) fn for_each_cell(&self, mut f: impl FnMut((i64, i64), &[u32])) {
-        self.cells.for_each(|key, cid| f(key, self.members(cid)));
+        match &self.window {
+            Some(win) => {
+                for (row, j) in win.ids.chunks_exact(win.w as usize).zip(win.min.1..) {
+                    for (&cid, i) in row.iter().zip(win.min.0..) {
+                        if cid != EMPTY {
+                            f((i, j), self.members(cid));
+                        }
+                    }
+                }
+            }
+            None => self.cells.for_each(|key, cid| f(key, self.members(cid))),
+        }
     }
 
     /// The points bucketed in the cell with `key` (empty when unoccupied).
@@ -309,18 +340,27 @@ impl GridIndex {
         }
     }
 
-    /// Appends the in-range points of cell `cid` to `out`: one contiguous
-    /// membership-kernel scan over the cell's coordinate slice.
+    /// Appends the in-range points of CSR positions `a..b` to `out`: one
+    /// contiguous membership-kernel scan over their coordinate slice.
     #[inline]
-    fn scan_cell(&self, cid: u32, q: Point, accept_sq: f64, out: &mut Vec<usize>) {
-        let (a, b) = (
-            self.starts[cid as usize] as usize,
-            self.starts[cid as usize + 1] as usize,
-        );
+    fn scan_range(&self, a: usize, b: usize, q: Point, accept_sq: f64, out: &mut Vec<usize>) {
         let order = &self.order[a..b];
         crate::kernel::disk_scan(&self.cxs[a..b], &self.cys[a..b], q.x, q.y, accept_sq, |k| {
             out.push(order[k] as usize)
         });
+    }
+
+    /// [`GridIndex::scan_range`] over the points of cell `cid`.
+    #[inline]
+    fn scan_cell(&self, cid: u32, q: Point, accept_sq: f64, out: &mut Vec<usize>) {
+        let c = cid as usize;
+        self.scan_range(
+            self.starts[c] as usize,
+            self.starts[c + 1] as usize,
+            q,
+            accept_sq,
+            out,
+        );
     }
 
     /// Indices of all points within Euclidean distance `r` of `q`
@@ -353,18 +393,30 @@ impl GridIndex {
                 let hi = Self::key(q + Point::new(rr, rr), self.cell);
                 let accept = r + freezetag_geometry::EPS;
                 let accept_sq = accept * accept;
-                // Clamp the scan to the occupied bounding box; row slices
-                // so the inner loop is a plain array walk.
+                // Clamp the scan to the occupied bounding box. Ids are
+                // row-major, so a row's occupied cells in `i0..=i1` are the
+                // consecutive ids from its first to its last occupied one:
+                // one kernel call over their joint CSR range per row.
                 let (i0, i1) = (lo.0.max(win.min.0), hi.0.min(win.min.0 + win.w - 1));
                 let (j0, j1) = (lo.1.max(win.min.1), hi.1.min(win.min.1 + win.h - 1));
                 if i0 <= i1 {
                     for j in j0..=j1 {
                         let base = ((j - win.min.1) * win.w + (i0 - win.min.0)) as usize;
-                        for &cid in &win.ids[base..=base + (i1 - i0) as usize] {
-                            if cid != EMPTY {
-                                self.scan_cell(cid, q, accept_sq, out);
-                            }
-                        }
+                        let row = &win.ids[base..=base + (i1 - i0) as usize];
+                        let Some(&first) = row.iter().find(|&&cid| cid != EMPTY) else {
+                            continue;
+                        };
+                        let last = *row
+                            .iter()
+                            .rfind(|&&cid| cid != EMPTY)
+                            .expect("row has a cell");
+                        self.scan_range(
+                            self.starts[first as usize] as usize,
+                            self.starts[last as usize + 1] as usize,
+                            q,
+                            accept_sq,
+                            out,
+                        );
                     }
                 }
             }
@@ -483,7 +535,9 @@ mod tests {
                 Point::new(a, b)
             })
             .collect();
-        for cell in [0.7, 1.0, 3.5] {
+        // The last width spreads the box past the window budget, so both
+        // directories are covered.
+        for cell in [0.7, 1.0, 3.5, 1e-4] {
             let keys: Vec<(i64, i64)> = points
                 .iter()
                 .map(|&p| GridIndex::cell_key(p, cell))
@@ -499,6 +553,36 @@ mod tests {
             assert_eq!(a.cells, b.cells);
             assert_eq!(a.window, b.window);
         }
+    }
+
+    #[test]
+    fn window_ids_are_row_major() {
+        // Cells filled in scrambled input order, with a gap in row 0.
+        let points = vec![
+            Point::new(3.5, 1.5),
+            Point::new(0.5, 0.5),
+            Point::new(2.5, 0.5),
+            Point::new(0.5, 1.5),
+            Point::new(1.5, 1.5),
+            Point::new(2.2, 0.2),
+            Point::new(1.5, 0.5),
+        ];
+        let idx = GridIndex::build(&points, 1.0);
+        let win = idx.window.as_ref().expect("compact set gets the window");
+        let id = |i: i64, j: i64| win.ids[((j - win.min.1) * win.w + (i - win.min.0)) as usize];
+        // Adjacent occupied cells of a window row get consecutive ids,
+        // and each row continues where the previous one stopped.
+        assert_eq!([id(0, 0), id(1, 0), id(2, 0)], [0, 1, 2]);
+        assert_eq!([id(0, 1), id(1, 1), id(2, 1), id(3, 1)], [3, 4, EMPTY, 5]);
+        assert_eq!(idx.cell_members((2, 0)), &[2, 5]);
+        // The walk follows the ids.
+        let mut walked = Vec::new();
+        idx.for_each_cell(|key, members| walked.push((key, members.to_vec())));
+        let keys: Vec<(i64, i64)> = walked.iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (3, 1)]);
+        assert_eq!(walked[2].1, [2, 5]);
+        // CSR ranges follow the ids: row 0 is one contiguous prefix.
+        assert_eq!(&idx.order[..idx.starts[3] as usize], &[1, 6, 2, 5]);
     }
 
     #[test]
@@ -580,6 +664,28 @@ mod tests {
             ) {
                 let pts: Vec<Point> = raw.into_iter().map(|(x, y)| Point::new(x, y)).collect();
                 let idx = GridIndex::build(&pts, cell);
+                let q = Point::new(qx, qy);
+                let got: Vec<usize> = idx.within(q, r).collect();
+                let want: Vec<usize> = (0..pts.len())
+                    .filter(|&i| pts[i].dist(q) <= r + freezetag_geometry::EPS)
+                    .collect();
+                prop_assert_eq!(got, want);
+            }
+
+            /// The same agreement on the sparse directory: a far straggler
+            /// stretches the bounding box past the window budget.
+            #[test]
+            fn within_matches_brute_force_on_the_sparse_directory(
+                raw in prop::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 1..40),
+                cell in 0.1f64..5.0,
+                qx in -25.0f64..25.0,
+                qy in -25.0f64..25.0,
+                r in 0.0f64..30.0,
+            ) {
+                let mut pts: Vec<Point> = raw.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+                pts.push(Point::new(1.0e7, -1.0e7));
+                let idx = GridIndex::build(&pts, cell);
+                prop_assert!(idx.window.is_none());
                 let q = Point::new(qx, qy);
                 let got: Vec<usize> = idx.within(q, r).collect();
                 let want: Vec<usize> = (0..pts.len())

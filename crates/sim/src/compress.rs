@@ -23,47 +23,67 @@
 //!
 //! Events are grouped into fixed-size blocks ([`SEG_BLOCK_EVENTS`] per
 //! robot, [`WAKE_BLOCK_EVENTS`] in the wake log) with a small uncompressed
-//! header holding the decoder state at the block boundary, so decode is
-//! block-local: the streaming validator and [`position_at`] touch one
-//! block at a time instead of materialising whole timelines.
+//! header holding the decoder state at the block boundary, so decode can
+//! start at any block: [`position_at`] seeks to the one block holding its
+//! time, the validator's wake pass splits the wake log at its snapshots,
+//! and segments decode one at a time straight from the bytes, never
+//! materialising a timeline.
+//!
+//! Each robot's state, event bytes and block headers live together in one
+//! per-robot record, so recording an event touches that record and the
+//! tail of its stream rather than a line per field.
 //!
 //! [`position_at`]: crate::record::ReplayRecorder::position_at
 //! [`Segment`]: crate::Segment
 
-use crate::record::ReplayRecorder;
+use crate::record::{self, ReplayRecorder, RobotState};
 use crate::{Recorder, RobotId, Segment, WakeEvent};
 use freezetag_geometry::Point;
+use std::cmp::Ordering;
 
 /// Segment events per compression block (per robot).
 ///
 /// 64 events × ~10 B ≈ 640 B per block against a 32 B header: ~5% header
-/// overhead, while a block decode buffer stays well inside L1.
+/// overhead, while a [`ReplayRecorder::position_at`] seek decodes at most
+/// one block.
 pub const SEG_BLOCK_EVENTS: usize = 64;
 
 /// Wake events per wake-log snapshot block.
 pub const WAKE_BLOCK_EVENTS: usize = 256;
 
+/// Capacity a robot's event stream starts with: ~24 moves at the typical
+/// ~10 B/move. Growing every stream from `Vec`'s 8-byte minimum instead
+/// costs five small reallocations per robot, interleaved across 10⁵–10⁶
+/// streams, which measured at ~30% of a 10⁵-robot `AGrid` recording.
+/// Capacity only: recorded bytes and `memory_bytes` are unchanged.
+const FIRST_STREAM_BYTES: usize = 256;
+
 const MODE_SAME: u8 = 0;
 const MODE_XOR: u8 = 1;
 const MODE_RAW: u8 = 2;
 
+/// Bytes in the LEB128 encoding of `v`: one per started 7-bit group.
 #[inline]
-fn varint_len(mut v: u64) -> usize {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
+fn varint_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
 }
 
+/// Appends the LEB128 encoding of `v` with one `extend_from_slice`: the
+/// groups are staged in a stack buffer (continuation bit on all but the
+/// last), so the output `Vec` sees one length check instead of one per
+/// byte.
 #[inline]
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8 & 0x7f) | 0x80);
-        v >>= 7;
+fn write_varint(out: &mut Vec<u8>, v: u64) {
+    let len = varint_len(v);
+    let mut buf = [0u8; 10];
+    let mut rest = v;
+    for b in &mut buf[..len] {
+        *b = rest as u8 | 0x80;
+        rest >>= 7;
     }
-    out.push(v as u8);
+    buf[len - 1] &= 0x7f;
+    out.extend_from_slice(&buf[..len]);
 }
 
 #[inline]
@@ -278,30 +298,77 @@ impl Iterator for WakeIter<'_> {
 
 impl ExactSizeIterator for WakeIter<'_> {}
 
-const ASLEEP: f64 = f64::NAN;
+/// One robot's slice of the recorder, kept together so a recorded event
+/// touches one record: the hot [`RobotState`] first, then the segment
+/// count, the encoded event stream and its block headers.
+#[derive(Debug, Clone)]
+struct Track {
+    state: RobotState,
+    count: u32,
+    bytes: Vec<u8>,
+    blocks: Vec<SegBlock>,
+}
+
+impl Track {
+    const ASLEEP: Track = Track {
+        state: RobotState::ASLEEP,
+        count: 0,
+        bytes: Vec::new(),
+        blocks: Vec::new(),
+    };
+
+    /// Bytes per robot that [`Recorder::memory_bytes`] charges for a
+    /// track: the state, a `u32` count and the two `Vec` headers.
+    const BYTES: usize = RobotState::BYTES
+        + 4
+        + std::mem::size_of::<Vec<u8>>()
+        + std::mem::size_of::<Vec<SegBlock>>();
+
+    /// Opens a new block header when the next event starts one; the
+    /// robot's first event also sizes its event stream.
+    #[inline]
+    fn open_block(&mut self) {
+        if (self.count as usize).is_multiple_of(SEG_BLOCK_EVENTS) {
+            if self.count == 0 {
+                self.bytes.reserve(FIRST_STREAM_BYTES);
+            }
+            self.blocks.push(SegBlock {
+                byte_start: self.bytes.len(),
+                start_time: self.state.time,
+                start_x: self.state.x,
+                start_y: self.state.y,
+            });
+        }
+    }
+
+    /// End time of block `k` — the next block's header time, or the
+    /// robot's current time for the last block. Both are the exact end
+    /// time of the block's last decoded segment.
+    #[inline]
+    fn block_end(&self, k: usize) -> f64 {
+        match self.blocks.get(k + 1) {
+            Some(b) => b.start_time,
+            None => self.state.time,
+        }
+    }
+}
 
 /// The block-compressed full-record implementation: complete trajectories
 /// (every segment recoverable bit-exactly) at ≤ 12 B per move instead of
 /// the flat 48.
 ///
-/// Current per-robot state lives in the same flat arrays
-/// [`StatsRecorder`](crate::StatsRecorder) uses, updated with the same
-/// float ops in the same order, so every aggregate is bit-identical to
-/// both other recorders (pinned by `recorder_parity`). Trajectories decode
-/// block-locally through [`CompressedRecorder::segments`] /
+/// Each robot is one `Track`: the `RobotState`
+/// [`StatsRecorder`](crate::StatsRecorder) also uses — so the move/wait
+/// arithmetic, and with it every aggregate, is shared and bit-identical to
+/// both other recorders (pinned by `recorder_parity`) — next to its
+/// segment count, event bytes and block headers. Trajectories decode
+/// through [`CompressedRecorder::segments`] /
 /// [`ReplayRecorder::position_at`], which is what the validator
 /// ([`validate`](crate::validate)) streams through.
 #[derive(Debug, Clone)]
 pub struct CompressedRecorder {
-    // Indexed by RobotId::index(); NaN in `wake_times` means "asleep".
-    wake_times: Vec<f64>,
-    times: Vec<f64>,
-    pos_x: Vec<f64>,
-    pos_y: Vec<f64>,
-    travels: Vec<f64>,
-    seg_bytes: Vec<Vec<u8>>,
-    seg_blocks: Vec<Vec<SegBlock>>,
-    seg_counts: Vec<u32>,
+    /// Indexed by `RobotId::index()`.
+    robots: Vec<Track>,
     wakes: WakeLog,
     active: usize,
     makespan_acc: f64,
@@ -309,49 +376,46 @@ pub struct CompressedRecorder {
 
 impl CompressedRecorder {
     #[inline]
-    fn check_active(&self, robot: RobotId) -> usize {
-        let i = robot.index();
-        assert!(
-            !self.wake_times[i].is_nan(),
-            "robot has no timeline (asleep)"
-        );
-        i
+    fn active_track(&mut self, robot: RobotId) -> &mut Track {
+        let tr = &mut self.robots[robot.index()];
+        tr.state.check_active();
+        tr
+    }
+
+    /// Number of robot slots (`n + 1`, the source included).
+    pub fn robot_slots(&self) -> usize {
+        self.robots.len()
     }
 
     /// Number of recorded segments (moves + waits) for `robot`.
     pub fn segment_count(&self, robot: RobotId) -> usize {
-        self.seg_counts[robot.index()] as usize
+        self.robots[robot.index()].count as usize
     }
 
     /// Total recorded segments over all robots.
     pub fn total_segments(&self) -> usize {
-        self.seg_counts.iter().map(|&c| c as usize).sum()
+        self.robots.iter().map(|tr| tr.count as usize).sum()
     }
 
     /// Activation position of `robot`, `None` if asleep.
     pub fn start_pos(&self, robot: RobotId) -> Option<Point> {
-        let i = robot.index();
-        if self.wake_times[i].is_nan() {
+        let tr = &self.robots[robot.index()];
+        if !tr.state.is_active() {
             return None;
         }
         // No event has happened before a robot's first block, so block 0's
         // header state *is* the activation state.
-        Some(match self.seg_blocks[i].first() {
+        Some(match tr.blocks.first() {
             Some(b) => Point::new(b.start_x, b.start_y),
-            None => Point::new(self.pos_x[i], self.pos_y[i]),
+            None => tr.state.pos(),
         })
     }
 
-    /// Lazily decoded segments of `robot` in chronological order, one
-    /// block in memory at a time. Empty for asleep robots.
+    /// Lazily decoded segments of `robot` in chronological order, straight
+    /// from the event bytes: no buffer, no allocation. Empty for asleep
+    /// robots.
     pub fn segments(&self, robot: RobotId) -> SegmentIter<'_> {
-        SegmentIter {
-            rec: self,
-            robot: robot.index(),
-            next_block: 0,
-            buf: Vec::new(),
-            buf_pos: 0,
-        }
+        SegmentIter::from_block(&self.robots[robot.index()], 0)
     }
 
     /// Lazy wake-event decoder starting at event index `start`.
@@ -359,16 +423,19 @@ impl CompressedRecorder {
         self.wakes.iter_from(start)
     }
 
+    /// Segment payload (event bytes + block headers) over all robots.
+    fn segment_bytes(&self) -> usize {
+        self.robots
+            .iter()
+            .map(|tr| tr.bytes.len() + tr.blocks.len() * std::mem::size_of::<SegBlock>())
+            .sum()
+    }
+
     /// Compressed payload bytes (segment streams + block headers + wake
     /// log) — the part of [`Recorder::memory_bytes`] that grows with the
     /// number of recorded events.
     pub fn compressed_bytes(&self) -> usize {
-        self.seg_bytes.iter().map(Vec::len).sum::<usize>()
-            + self
-                .seg_blocks
-                .iter()
-                .map(|b| b.len() * std::mem::size_of::<SegBlock>())
-                .sum::<usize>()
+        self.segment_bytes()
             + self.wakes.bytes.len()
             + self.wakes.snaps.len() * std::mem::size_of::<WakeSnapshot>()
     }
@@ -377,120 +444,106 @@ impl CompressedRecorder {
     /// (including block headers) divided by segment count. NaN when
     /// nothing was recorded.
     pub fn bytes_per_move(&self) -> f64 {
-        let moves = self.total_segments();
-        let bytes = self.seg_bytes.iter().map(Vec::len).sum::<usize>()
-            + self
-                .seg_blocks
-                .iter()
-                .map(|b| b.len() * std::mem::size_of::<SegBlock>())
-                .sum::<usize>();
-        bytes as f64 / moves as f64
-    }
-
-    /// Decodes block `k` of robot index `i` into `out` (cleared first).
-    fn decode_block(&self, i: usize, k: usize, out: &mut Vec<Segment>) {
-        out.clear();
-        let blocks = &self.seg_blocks[i];
-        let bytes = &self.seg_bytes[i];
-        let total = self.seg_counts[i] as usize;
-        let count = (total - k * SEG_BLOCK_EVENTS).min(SEG_BLOCK_EVENTS);
-        let mut pos = blocks[k].byte_start;
-        let mut t = blocks[k].start_time;
-        let mut x = blocks[k].start_x;
-        let mut y = blocks[k].start_y;
-        for _ in 0..count {
-            let op = bytes[pos];
-            pos += 1;
-            if op & 1 == 0 {
-                let xm = (op >> 1) & 3;
-                let ym = (op >> 3) & 3;
-                let nx = f64::from_bits(read_field(bytes, &mut pos, xm, x.to_bits()));
-                let ny = f64::from_bits(read_field(bytes, &mut pos, ym, y.to_bits()));
-                let from = Point::new(x, y);
-                let to = Point::new(nx, ny);
-                // Same op Timeline::move_to used, on the same inputs: the
-                // recomputed end time is bit-identical to the recorded run.
-                let end = t + from.dist(to);
-                out.push(Segment {
-                    start_time: t,
-                    end_time: end,
-                    from,
-                    to,
-                });
-                t = end;
-                x = nx;
-                y = ny;
-            } else {
-                let tm = (op >> 1) & 3;
-                let nt = f64::from_bits(read_field(bytes, &mut pos, tm, t.to_bits()));
-                let at = Point::new(x, y);
-                out.push(Segment {
-                    start_time: t,
-                    end_time: nt,
-                    from: at,
-                    to: at,
-                });
-                t = nt;
-            }
-        }
-    }
-
-    /// End time of block `k` of robot index `i` — the next block's header
-    /// time, or the robot's current time for the last block. Both are the
-    /// exact end time of the block's last decoded segment.
-    #[inline]
-    fn block_end(&self, i: usize, k: usize) -> f64 {
-        match self.seg_blocks[i].get(k + 1) {
-            Some(b) => b.start_time,
-            None => self.times[i],
-        }
+        self.segment_bytes() as f64 / self.total_segments() as f64
     }
 }
 
-/// Streaming segment decoder: materialises one [`SEG_BLOCK_EVENTS`]-sized
-/// block at a time, never a whole timeline.
-#[derive(Debug)]
+/// Streaming segment decoder: decodes one event per `next` straight from
+/// a robot's byte stream, carrying the decoder state (time, position)
+/// forward. A block header holds exactly the state decoding reaches at
+/// that boundary, so a walk started at any block continues through the
+/// following ones bit-identically; nothing is ever buffered.
+#[derive(Debug, Clone)]
 pub struct SegmentIter<'a> {
-    rec: &'a CompressedRecorder,
-    robot: usize,
-    next_block: usize,
-    buf: Vec<Segment>,
-    buf_pos: usize,
+    bytes: &'a [u8],
+    pos: usize,
+    remaining: usize,
+    t: f64,
+    x: f64,
+    y: f64,
+}
+
+impl<'a> SegmentIter<'a> {
+    /// The decoder positioned at the start of block `k` of `tr` (empty
+    /// past the last block).
+    fn from_block(tr: &'a Track, k: usize) -> Self {
+        match tr.blocks.get(k) {
+            Some(b) => SegmentIter {
+                bytes: &tr.bytes,
+                pos: b.byte_start,
+                remaining: tr.count as usize - k * SEG_BLOCK_EVENTS,
+                t: b.start_time,
+                x: b.start_x,
+                y: b.start_y,
+            },
+            None => SegmentIter {
+                bytes: &[],
+                pos: 0,
+                remaining: 0,
+                t: 0.0,
+                x: 0.0,
+                y: 0.0,
+            },
+        }
+    }
 }
 
 impl Iterator for SegmentIter<'_> {
     type Item = Segment;
 
+    #[inline]
     fn next(&mut self) -> Option<Segment> {
-        if self.buf_pos == self.buf.len() {
-            if self.next_block >= self.rec.seg_blocks[self.robot].len() {
-                return None;
-            }
-            self.rec
-                .decode_block(self.robot, self.next_block, &mut self.buf);
-            self.next_block += 1;
-            self.buf_pos = 0;
-            if self.buf.is_empty() {
-                return None;
-            }
+        if self.remaining == 0 {
+            return None;
         }
-        let s = self.buf[self.buf_pos];
-        self.buf_pos += 1;
-        Some(s)
+        self.remaining -= 1;
+        let bytes = self.bytes;
+        let op = bytes[self.pos];
+        self.pos += 1;
+        let (t, x, y) = (self.t, self.x, self.y);
+        let from = Point::new(x, y);
+        if op & 1 == 0 {
+            let xm = (op >> 1) & 3;
+            let ym = (op >> 3) & 3;
+            let nx = f64::from_bits(read_field(bytes, &mut self.pos, xm, x.to_bits()));
+            let ny = f64::from_bits(read_field(bytes, &mut self.pos, ym, y.to_bits()));
+            let to = Point::new(nx, ny);
+            // Same op RobotState::move_to used, on the same inputs: the
+            // recomputed end time is bit-identical to the recorded run.
+            let end = t + from.dist(to);
+            self.t = end;
+            self.x = nx;
+            self.y = ny;
+            Some(Segment {
+                start_time: t,
+                end_time: end,
+                from,
+                to,
+            })
+        } else {
+            let tm = (op >> 1) & 3;
+            let nt = f64::from_bits(read_field(bytes, &mut self.pos, tm, t.to_bits()));
+            self.t = nt;
+            Some(Segment {
+                start_time: t,
+                end_time: nt,
+                from,
+                to: from,
+            })
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
     }
 }
+
+impl ExactSizeIterator for SegmentIter<'_> {}
 
 impl Recorder for CompressedRecorder {
     fn with_capacity(n: usize) -> Self {
         CompressedRecorder {
-            wake_times: vec![ASLEEP; n + 1],
-            times: vec![0.0; n + 1],
-            pos_x: vec![0.0; n + 1],
-            pos_y: vec![0.0; n + 1],
-            travels: vec![0.0; n + 1],
-            seg_bytes: vec![Vec::new(); n + 1],
-            seg_blocks: vec![Vec::new(); n + 1],
-            seg_counts: vec![0; n + 1],
+            robots: vec![Track::ASLEEP; n + 1],
             wakes: WakeLog::default(),
             active: 0,
             makespan_acc: 0.0,
@@ -498,88 +551,56 @@ impl Recorder for CompressedRecorder {
     }
 
     fn activate(&mut self, robot: RobotId, time: f64, pos: Point) {
-        let i = robot.index();
-        assert!(self.wake_times[i].is_nan(), "robot {robot} activated twice");
-        self.wake_times[i] = time;
-        self.times[i] = time;
-        self.pos_x[i] = pos.x;
-        self.pos_y[i] = pos.y;
-        self.travels[i] = 0.0;
+        self.robots[robot.index()].state.activate(robot, time, pos);
         self.active += 1;
     }
 
     fn is_active(&self, robot: RobotId) -> bool {
-        !self.wake_times[robot.index()].is_nan()
+        self.robots[robot.index()].state.is_active()
     }
 
     fn current_time(&self, robot: RobotId) -> Option<f64> {
-        let i = robot.index();
-        (!self.wake_times[i].is_nan()).then(|| self.times[i])
+        self.robots[robot.index()].state.current_time()
     }
 
     fn current_pos(&self, robot: RobotId) -> Option<Point> {
-        let i = robot.index();
-        (!self.wake_times[i].is_nan()).then(|| Point::new(self.pos_x[i], self.pos_y[i]))
+        self.robots[robot.index()].state.current_pos()
     }
 
     fn move_to(&mut self, robot: RobotId, dest: Point) -> f64 {
-        let i = self.check_active(robot);
-        if (self.seg_counts[i] as usize).is_multiple_of(SEG_BLOCK_EVENTS) {
-            self.seg_blocks[i].push(SegBlock {
-                byte_start: self.seg_bytes[i].len(),
-                start_time: self.times[i],
-                start_x: self.pos_x[i],
-                start_y: self.pos_y[i],
-            });
-        }
-        let px = self.pos_x[i].to_bits();
-        let py = self.pos_y[i].to_bits();
+        let tr = self.active_track(robot);
+        tr.open_block();
+        let px = tr.state.x.to_bits();
+        let py = tr.state.y.to_bits();
         let xb = dest.x.to_bits();
         let yb = dest.y.to_bits();
         let xm = field_mode(px, xb);
         let ym = field_mode(py, yb);
-        let out = &mut self.seg_bytes[i];
-        out.push((xm << 1) | (ym << 3));
-        write_field(out, xm, px, xb);
-        write_field(out, ym, py, yb);
-        self.seg_counts[i] += 1;
-        // Same operations in the same order as Timeline::move_to +
-        // Timeline::travel: one dist per move, accumulated per robot.
-        let d = Point::new(self.pos_x[i], self.pos_y[i]).dist(dest);
-        let end = self.times[i] + d;
-        self.times[i] = end;
-        self.pos_x[i] = dest.x;
-        self.pos_y[i] = dest.y;
-        self.travels[i] += d;
-        end
+        tr.bytes.push((xm << 1) | (ym << 3));
+        write_field(&mut tr.bytes, xm, px, xb);
+        write_field(&mut tr.bytes, ym, py, yb);
+        tr.count += 1;
+        tr.state.move_to(dest)
     }
 
     fn reserve_moves(&mut self, robot: RobotId, extra: usize) {
         // ~10 B per encoded move on typical sweeps; a pure capacity hint.
-        self.seg_bytes[robot.index()].reserve(extra * 10);
+        self.robots[robot.index()].bytes.reserve(extra * 10);
     }
 
     fn wait_until(&mut self, robot: RobotId, t: f64) {
-        let i = self.check_active(robot);
-        // Mirrors Timeline::wait_until: a wait event is recorded exactly
-        // when the timeline would push a wait segment.
-        if t > self.times[i] + freezetag_geometry::EPS {
-            if (self.seg_counts[i] as usize).is_multiple_of(SEG_BLOCK_EVENTS) {
-                self.seg_blocks[i].push(SegBlock {
-                    byte_start: self.seg_bytes[i].len(),
-                    start_time: self.times[i],
-                    start_x: self.pos_x[i],
-                    start_y: self.pos_y[i],
-                });
-            }
-            let pt = self.times[i].to_bits();
+        let tr = self.active_track(robot);
+        // A wait event is recorded exactly when the state (and Timeline)
+        // would push a wait segment.
+        if tr.state.waits_until(t) {
+            tr.open_block();
+            let pt = tr.state.time.to_bits();
             let tb = t.to_bits();
             let tm = field_mode(pt, tb);
-            let out = &mut self.seg_bytes[i];
-            out.push(1 | (tm << 1));
-            write_field(out, tm, pt, tb);
-            self.seg_counts[i] += 1;
-            self.times[i] = t;
+            tr.bytes.push(1 | (tm << 1));
+            write_field(&mut tr.bytes, tm, pt, tb);
+            tr.count += 1;
+            tr.state.wait_until(t);
         }
     }
 
@@ -601,13 +622,11 @@ impl Recorder for CompressedRecorder {
     }
 
     fn wake_time(&self, robot: RobotId) -> Option<f64> {
-        let t = self.wake_times[robot.index()];
-        (!t.is_nan()).then_some(t)
+        self.robots[robot.index()].state.wake_time()
     }
 
     fn travel(&self, robot: RobotId) -> Option<f64> {
-        let i = robot.index();
-        (!self.wake_times[i].is_nan()).then(|| self.travels[i])
+        self.robots[robot.index()].state.travel()
     }
 
     fn active_count(&self) -> usize {
@@ -619,50 +638,33 @@ impl Recorder for CompressedRecorder {
     }
 
     fn completion_time(&self) -> f64 {
-        // Index order, exactly like Schedule::completion_time.
-        (0..self.times.len())
-            .filter(|&i| !self.wake_times[i].is_nan())
-            .map(|i| self.times[i])
-            .fold(0.0, f64::max)
+        record::completion_time(self.robots.iter().map(|tr| &tr.state))
     }
 
     fn max_energy(&self) -> f64 {
-        (0..self.travels.len())
-            .filter(|&i| !self.wake_times[i].is_nan())
-            .map(|i| self.travels[i])
-            .fold(0.0, f64::max)
+        record::max_energy(self.robots.iter().map(|tr| &tr.state))
     }
 
     fn total_energy(&self) -> f64 {
-        (0..self.travels.len())
-            .filter(|&i| !self.wake_times[i].is_nan())
-            .map(|i| self.travels[i])
-            .fold(0.0, |a, b| a + b)
+        record::total_energy(self.robots.iter().map(|tr| &tr.state))
     }
 
     fn memory_bytes(&self) -> usize {
         // Lengths, not capacities: byte-identical across thread counts.
-        self.wake_times.len() * 8 * 5
-            + self.seg_counts.len() * 4
-            + self.seg_bytes.len() * std::mem::size_of::<Vec<u8>>()
-            + self.seg_blocks.len() * std::mem::size_of::<Vec<SegBlock>>()
-            + self.compressed_bytes()
+        self.robots.len() * Track::BYTES + self.compressed_bytes()
     }
 }
 
 impl ReplayRecorder for CompressedRecorder {
     fn position_at(&self, robot: RobotId, t: f64) -> Option<Point> {
-        let i = robot.index();
-        if self.wake_times[i].is_nan() {
-            return None;
-        }
-        let nseg = self.seg_counts[i] as usize;
+        let tr = &self.robots[robot.index()];
+        let wake = tr.state.wake_time()?;
         // Mirrors Timeline::position_at exactly, block by block.
-        if t <= self.wake_times[i] || nseg == 0 {
-            return Some(if nseg == 0 {
-                Point::new(self.pos_x[i], self.pos_y[i])
+        if t <= wake || tr.count == 0 {
+            return Some(if tr.count == 0 {
+                tr.state.pos()
             } else {
-                let b = self.seg_blocks[i][0];
+                let b = tr.blocks[0];
                 Point::new(b.start_x, b.start_y)
             });
         }
@@ -670,28 +672,34 @@ impl ReplayRecorder for CompressedRecorder {
         // times are nondecreasing and block_end(k) is the exact end time
         // of block k's last segment, this lands on the block containing
         // the segment Timeline's partition_point would select.
-        let nb = self.seg_blocks[i].len();
-        let mut lo = 0;
-        let mut hi = nb;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.block_end(i, mid) < t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo == nb {
-            return Some(Point::new(self.pos_x[i], self.pos_y[i]));
-        }
-        let mut buf = Vec::with_capacity(SEG_BLOCK_EVENTS);
-        self.decode_block(i, lo, &mut buf);
-        let k = buf.partition_point(|s| s.end_time < t);
-        Some(match buf.get(k) {
-            Some(s) => s.position_at(t),
-            None => Point::new(self.pos_x[i], self.pos_y[i]),
-        })
+        let k = partition_point(tr.blocks.len(), |k| tr.block_end(k) < t);
+        // Within the block the first segment ending at or after `t` is the
+        // partition point; decoding stops there instead of materialising
+        // the block.
+        Some(
+            match SegmentIter::from_block(tr, k)
+                .find(|s| s.end_time.partial_cmp(&t) != Some(Ordering::Less))
+            {
+                Some(s) => s.position_at(t),
+                None => tr.state.pos(),
+            },
+        )
     }
+}
+
+/// First index in `0..len` for which `before` is false, assuming `before`
+/// holds on a prefix (`slice::partition_point` over an implicit slice).
+fn partition_point(len: usize, before: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -737,6 +745,33 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The byte-at-a-time LEB128 loop the staged writer replaced.
+    fn write_varint_reference(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push((v as u8 & 0x7f) | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+
+    #[test]
+    fn varint_writer_matches_the_reference_loop() {
+        let mut values = vec![0, 0x7f, 0x80, u64::MAX];
+        for k in 0..64 {
+            values.extend([(1u64 << k) - 1, 1u64 << k, (1u64 << k) + 1]);
+        }
+        for v in values {
+            let (mut got, mut want) = (vec![0xAA], vec![0xAA]);
+            write_varint(&mut got, v);
+            write_varint_reference(&mut want, v);
+            assert_eq!(got, want, "bytes of {v:#x}");
+            assert_eq!(varint_len(v), want.len() - 1, "length of {v:#x}");
+            let mut pos = 1;
+            assert_eq!(read_varint(&got, &mut pos), v);
+            assert_eq!(pos, got.len());
         }
     }
 

@@ -76,6 +76,7 @@ pub use schedule::{Schedule, Segment, Timeline, WakeEvent};
 pub use sim::Sim;
 pub use trace::{Trace, TraceSpan};
 pub use validate::{
-    validate, validate_compressed, RecordedRun, ValidationOptions, ValidationReport,
+    validate, validate_compressed, validate_with_pool, RecordedRun, ValidationOptions,
+    ValidationReport,
 };
 pub use world::{ConcreteWorld, Sighting, WorldView};

@@ -33,6 +33,11 @@ pub const LOOK_BATCH: usize = 512;
 /// below this the sequential path is faster than spawning workers.
 pub const PAR_LOOK_MIN: usize = 2 * LOOK_BATCH;
 
+/// Minimum robot count before a job validates its recording on its pool
+/// ([`crate::validate_with_pool`]); smaller runs validate on the calling
+/// thread, where a scoped spawn would cost more than it saves.
+pub const PAR_VALIDATE_MIN: usize = 1 << 14;
+
 /// Points per batch when parallelizing O(n) geometry passes (grid-index
 /// key computation, radius scans) over 10⁵–10⁶-element arrays.
 pub const POINT_BATCH: usize = 1 << 16;

@@ -254,20 +254,153 @@ impl ReplayRecorder for FullRecorder {
     }
 }
 
-const ASLEEP: f64 = f64::NAN;
+/// One robot's current kinematic state — wake time, clock, position and
+/// accumulated travel — in one 40-byte record, so a recorded event touches
+/// one cache line instead of one per field. Both constant-memory recorders
+/// hold their per-robot state in this type, which is why their move/wait
+/// arithmetic exists once: the operations below are the same float ops in
+/// the same order as [`Timeline`](crate::Timeline)'s, so
+/// [`StatsRecorder`] and [`CompressedRecorder`](crate::CompressedRecorder)
+/// agree with [`FullRecorder`] bit-for-bit by construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RobotState {
+    /// Activation time; NaN means "asleep".
+    wake_time: f64,
+    pub(crate) time: f64,
+    pub(crate) x: f64,
+    pub(crate) y: f64,
+    travel: f64,
+}
 
-/// The constant-memory implementation: flat per-robot arrays (wake time,
-/// current time, current position, accumulated travel) plus the wake log.
-/// No segments — trajectories cannot be replayed or validated, but every
-/// aggregate statistic matches [`FullRecorder`] bit-for-bit.
+impl RobotState {
+    /// A robot that has not been activated.
+    pub(crate) const ASLEEP: RobotState = RobotState {
+        wake_time: f64::NAN,
+        time: 0.0,
+        x: 0.0,
+        y: 0.0,
+        travel: 0.0,
+    };
+
+    /// Bytes per robot that [`Recorder::memory_bytes`] charges for this
+    /// state: five f64 fields.
+    pub(crate) const BYTES: usize = 8 * 5;
+
+    #[inline]
+    pub(crate) fn is_active(&self) -> bool {
+        !self.wake_time.is_nan()
+    }
+
+    /// Starts the robot's clock at `time` from `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the robot was already activated.
+    #[inline]
+    pub(crate) fn activate(&mut self, robot: RobotId, time: f64, pos: Point) {
+        assert!(!self.is_active(), "robot {robot} activated twice");
+        *self = RobotState {
+            wake_time: time,
+            time,
+            x: pos.x,
+            y: pos.y,
+            travel: 0.0,
+        };
+    }
+
+    /// Panics unless the robot is active — the precondition of every
+    /// recorded move and wait.
+    #[inline]
+    pub(crate) fn check_active(&self) {
+        assert!(self.is_active(), "robot has no timeline (asleep)");
+    }
+
+    #[inline]
+    pub(crate) fn pos(&self) -> Point {
+        Point::new(self.x, self.y)
+    }
+
+    #[inline]
+    pub(crate) fn wake_time(&self) -> Option<f64> {
+        self.is_active().then_some(self.wake_time)
+    }
+
+    #[inline]
+    pub(crate) fn current_time(&self) -> Option<f64> {
+        self.is_active().then_some(self.time)
+    }
+
+    #[inline]
+    pub(crate) fn current_pos(&self) -> Option<Point> {
+        self.is_active().then(|| self.pos())
+    }
+
+    #[inline]
+    pub(crate) fn travel(&self) -> Option<f64> {
+        self.is_active().then_some(self.travel)
+    }
+
+    /// A unit-speed move to `dest`; returns the arrival time. Same
+    /// operations in the same order as `Timeline::move_to` +
+    /// `Timeline::travel`: one dist per move, accumulated per robot.
+    #[inline]
+    pub(crate) fn move_to(&mut self, dest: Point) -> f64 {
+        let d = self.pos().dist(dest);
+        let end = self.time + d;
+        self.time = end;
+        self.x = dest.x;
+        self.y = dest.y;
+        self.travel += d;
+        end
+    }
+
+    /// Whether waiting until `t` records a wait segment — exactly when
+    /// `Timeline::wait_until` would push one.
+    #[inline]
+    pub(crate) fn waits_until(&self, t: f64) -> bool {
+        t > self.time + freezetag_geometry::EPS
+    }
+
+    /// A wait until `t`. Waits add a 0-length segment, i.e. exactly 0.0
+    /// travel, so skipping the addition keeps the per-robot travel sum
+    /// bit-identical.
+    #[inline]
+    pub(crate) fn wait_until(&mut self, t: f64) {
+        if self.waits_until(t) {
+            self.time = t;
+        }
+    }
+}
+
+/// Latest clock over the active robots, folded in index order exactly
+/// like `Schedule::completion_time`.
+pub(crate) fn completion_time<'a>(states: impl Iterator<Item = &'a RobotState>) -> f64 {
+    states
+        .filter_map(RobotState::current_time)
+        .fold(0.0, f64::max)
+}
+
+/// Largest per-robot travel, in index order.
+pub(crate) fn max_energy<'a>(states: impl Iterator<Item = &'a RobotState>) -> f64 {
+    states.filter_map(RobotState::travel).fold(0.0, f64::max)
+}
+
+/// Per-robot travels summed in index order — the same association and the
+/// same +0.0 fold `Schedule::total_energy` uses.
+pub(crate) fn total_energy<'a>(states: impl Iterator<Item = &'a RobotState>) -> f64 {
+    states
+        .filter_map(RobotState::travel)
+        .fold(0.0, |a, b| a + b)
+}
+
+/// The constant-memory implementation: one `RobotState` per robot (wake
+/// time, current time, current position, accumulated travel) plus the
+/// wake log. No segments — trajectories cannot be replayed or validated,
+/// but every aggregate statistic matches [`FullRecorder`] bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct StatsRecorder {
-    // Indexed by RobotId::index(); NaN in `wake_times` means "asleep".
-    wake_times: Vec<f64>,
-    times: Vec<f64>,
-    pos_x: Vec<f64>,
-    pos_y: Vec<f64>,
-    travels: Vec<f64>,
+    /// Indexed by `RobotId::index()`.
+    robots: Vec<RobotState>,
     wakes: Vec<WakeEvent>,
     active: usize,
 }
@@ -285,90 +418,52 @@ impl StatsRecorder {
     /// [`memory_bytes`](Recorder::memory_bytes), which counts lengths, not
     /// capacity).
     pub fn recycle(&mut self, n: usize) {
-        self.wake_times.clear();
-        self.wake_times.resize(n + 1, ASLEEP);
-        self.times.clear();
-        self.times.resize(n + 1, 0.0);
-        self.pos_x.clear();
-        self.pos_x.resize(n + 1, 0.0);
-        self.pos_y.clear();
-        self.pos_y.resize(n + 1, 0.0);
-        self.travels.clear();
-        self.travels.resize(n + 1, 0.0);
+        self.robots.clear();
+        self.robots.resize(n + 1, RobotState::ASLEEP);
         self.wakes.clear();
         self.active = 0;
     }
 
     #[inline]
-    fn check_active(&self, robot: RobotId) -> usize {
-        let i = robot.index();
-        assert!(
-            !self.wake_times[i].is_nan(),
-            "robot has no timeline (asleep)"
-        );
-        i
+    fn active_state(&mut self, robot: RobotId) -> &mut RobotState {
+        let r = &mut self.robots[robot.index()];
+        r.check_active();
+        r
     }
 }
 
 impl Recorder for StatsRecorder {
     fn with_capacity(n: usize) -> Self {
         StatsRecorder {
-            wake_times: vec![ASLEEP; n + 1],
-            times: vec![0.0; n + 1],
-            pos_x: vec![0.0; n + 1],
-            pos_y: vec![0.0; n + 1],
-            travels: vec![0.0; n + 1],
+            robots: vec![RobotState::ASLEEP; n + 1],
             wakes: Vec::new(),
             active: 0,
         }
     }
 
     fn activate(&mut self, robot: RobotId, time: f64, pos: Point) {
-        let i = robot.index();
-        assert!(self.wake_times[i].is_nan(), "robot {robot} activated twice");
-        self.wake_times[i] = time;
-        self.times[i] = time;
-        self.pos_x[i] = pos.x;
-        self.pos_y[i] = pos.y;
-        self.travels[i] = 0.0;
+        self.robots[robot.index()].activate(robot, time, pos);
         self.active += 1;
     }
 
     fn is_active(&self, robot: RobotId) -> bool {
-        !self.wake_times[robot.index()].is_nan()
+        self.robots[robot.index()].is_active()
     }
 
     fn current_time(&self, robot: RobotId) -> Option<f64> {
-        let i = robot.index();
-        (!self.wake_times[i].is_nan()).then(|| self.times[i])
+        self.robots[robot.index()].current_time()
     }
 
     fn current_pos(&self, robot: RobotId) -> Option<Point> {
-        let i = robot.index();
-        (!self.wake_times[i].is_nan()).then(|| Point::new(self.pos_x[i], self.pos_y[i]))
+        self.robots[robot.index()].current_pos()
     }
 
     fn move_to(&mut self, robot: RobotId, dest: Point) -> f64 {
-        let i = self.check_active(robot);
-        // Same operations in the same order as Timeline::move_to +
-        // Timeline::travel: one dist per move, accumulated per robot.
-        let d = Point::new(self.pos_x[i], self.pos_y[i]).dist(dest);
-        let end = self.times[i] + d;
-        self.times[i] = end;
-        self.pos_x[i] = dest.x;
-        self.pos_y[i] = dest.y;
-        self.travels[i] += d;
-        end
+        self.active_state(robot).move_to(dest)
     }
 
     fn wait_until(&mut self, robot: RobotId, t: f64) {
-        let i = self.check_active(robot);
-        // Mirrors Timeline::wait_until: waits contribute a 0-length
-        // segment, which adds exactly 0.0 travel — skipping the addition
-        // keeps the per-robot travel sum bit-identical.
-        if t > self.times[i] + freezetag_geometry::EPS {
-            self.times[i] = t;
-        }
+        self.active_state(robot).wait_until(t);
     }
 
     fn record_wake(&mut self, event: WakeEvent) {
@@ -386,13 +481,11 @@ impl Recorder for StatsRecorder {
     }
 
     fn wake_time(&self, robot: RobotId) -> Option<f64> {
-        let t = self.wake_times[robot.index()];
-        (!t.is_nan()).then_some(t)
+        self.robots[robot.index()].wake_time()
     }
 
     fn travel(&self, robot: RobotId) -> Option<f64> {
-        let i = robot.index();
-        (!self.wake_times[i].is_nan()).then(|| self.travels[i])
+        self.robots[robot.index()].travel()
     }
 
     fn active_count(&self) -> usize {
@@ -400,31 +493,19 @@ impl Recorder for StatsRecorder {
     }
 
     fn completion_time(&self) -> f64 {
-        // Index order, exactly like Schedule::completion_time.
-        (0..self.times.len())
-            .filter(|&i| !self.wake_times[i].is_nan())
-            .map(|i| self.times[i])
-            .fold(0.0, f64::max)
+        completion_time(self.robots.iter())
     }
 
     fn max_energy(&self) -> f64 {
-        (0..self.travels.len())
-            .filter(|&i| !self.wake_times[i].is_nan())
-            .map(|i| self.travels[i])
-            .fold(0.0, f64::max)
+        max_energy(self.robots.iter())
     }
 
     fn total_energy(&self) -> f64 {
-        // Per-robot travels summed in index order — the same association
-        // and the same +0.0 fold Schedule::total_energy uses.
-        (0..self.travels.len())
-            .filter(|&i| !self.wake_times[i].is_nan())
-            .map(|i| self.travels[i])
-            .fold(0.0, |a, b| a + b)
+        total_energy(self.robots.iter())
     }
 
     fn memory_bytes(&self) -> usize {
-        self.wake_times.len() * 8 * 5 + self.wakes.len() * std::mem::size_of::<WakeEvent>()
+        self.robots.len() * RobotState::BYTES + self.wakes.len() * std::mem::size_of::<WakeEvent>()
     }
 }
 

@@ -212,6 +212,11 @@ impl Schedule {
         }
     }
 
+    /// Number of robot slots (`n + 1`, the source included).
+    pub fn robot_slots(&self) -> usize {
+        self.timelines.len()
+    }
+
     /// Starts a timeline for `robot`.
     ///
     /// # Panics

@@ -9,32 +9,82 @@
 //! segment whose `from` differs from the previous `to` (the codec implies
 //! `from`), and a faster-than-unit-speed move (the codec recomputes every
 //! end time as start + length).
+//!
+//! Every store is also validated at pool widths 1, 2 and 4: the pooled
+//! validator must return the same first error (variant and message) and
+//! a bit-identical report at every width, on these small faults and on
+//! long runs whose faults sit in different batches.
 
 use freezetag::geometry::Point;
 use freezetag::instances::Instance;
 use freezetag::sim::{
-    validate, CompressedRecorder, ConcreteWorld, FullRecorder, Recorder, RobotId, Sim, SimError,
-    ValidationOptions, ValidationReport, WakeEvent,
+    validate, validate_with_pool, CompressedRecorder, ConcreteWorld, FullRecorder, ParPool,
+    RecordedRun, Recorder, RobotId, Sim, SimError, ValidationOptions, ValidationReport, WakeEvent,
 };
 
 /// A recording step applied identically to both stores.
 type Fault = dyn Fn(&mut dyn Recorder);
 
+/// Pool widths every validation runs at.
+const WIDTHS: [usize; 3] = [1, 2, 4];
+
+/// A report's fields as bits, so equality is bit-identity.
+fn bits(r: &ValidationReport) -> [u64; 6] {
+    [
+        r.makespan.to_bits(),
+        r.completion_time.to_bits(),
+        r.max_energy.to_bits(),
+        r.total_energy.to_bits(),
+        r.robots_awake as u64,
+        r.wake_count as u64,
+    ]
+}
+
+/// Validates `run` sequentially and at every pool width in [`WIDTHS`],
+/// asserting that all of them agree — the same error, or bit-identical
+/// reports — and returns the sequential result.
+fn validate_widths<R: RecordedRun>(
+    run: &R,
+    inst: &Instance,
+    opts: &ValidationOptions,
+) -> Result<ValidationReport, SimError> {
+    let seq = validate(run, inst.source(), inst.positions(), opts);
+    for width in WIDTHS {
+        let pooled = validate_with_pool(
+            run,
+            inst.source(),
+            inst.positions(),
+            opts,
+            &ParPool::new(width),
+        );
+        match (&seq, &pooled) {
+            (Ok(a), Ok(b)) => assert_eq!(bits(a), bits(b), "report at width {width}"),
+            (Err(a), Err(b)) => {
+                assert_eq!(a, b, "error at width {width}");
+                assert_eq!(a.to_string(), b.to_string(), "message at width {width}");
+            }
+            _ => panic!("width {width}: {pooled:?} instead of {seq:?}"),
+        }
+    }
+    seq
+}
+
 /// Records `fault` into a fresh recorder of each store (sized for `n`
-/// sleepers) and validates both against `inst` — flat result first.
+/// sleepers) and validates both against `inst` at every pool width —
+/// flat result first.
 fn validate_both(
     n: usize,
     inst: &Instance,
     opts: &ValidationOptions,
-    fault: &Fault,
+    fault: &dyn Fn(&mut dyn Recorder),
 ) -> [Result<ValidationReport, SimError>; 2] {
     let mut full = FullRecorder::with_capacity(n);
     fault(&mut full);
     let mut compressed = CompressedRecorder::with_capacity(n);
     fault(&mut compressed);
     [
-        validate(full.schedule(), inst.source(), inst.positions(), opts),
-        validate(&compressed, inst.source(), inst.positions(), opts),
+        validate_widths(full.schedule(), inst, opts),
+        validate_widths(&compressed, inst, opts),
     ]
 }
 
@@ -240,5 +290,155 @@ fn source_waking_itself_is_caught() {
         });
     }) {
         assert!(matches!(err, SimError::InvalidTimeline(_)), "{err}");
+    }
+}
+
+#[test]
+fn wake_target_without_initial_position_is_an_error_not_a_panic() {
+    // A two-robot run checked against a one-robot position list: the
+    // second sleeper has a timeline (and a wake) but no initial position.
+    let short = Instance::new(vec![Point::new(1.0, 0.0)]);
+    for err in validate_both(2, &short, &ValidationOptions::default(), &base_run) {
+        let err = err.expect_err("an extra robot must be rejected");
+        assert!(matches!(err, SimError::InvalidTimeline(_)), "{err}");
+    }
+    // A wake event whose target has neither a slot nor a position.
+    for err in errors(&short, &|rec| {
+        rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+        rec.move_to(RobotId::SOURCE, Point::new(1.0, 0.0));
+        wake(rec, RobotId::SOURCE, RobotId::sleeper(0));
+        rec.record_wake(WakeEvent {
+            waker: RobotId::sleeper(0),
+            target: RobotId::sleeper(1),
+            time: 1.0,
+            pos: Point::new(1.0, 0.0),
+        });
+    }) {
+        assert!(matches!(err, SimError::InvalidTimeline(_)), "{err}");
+    }
+}
+
+/// Sleepers of the long runs: enough that timelines and wake events
+/// both span several pool tasks.
+const LONG: usize = 5000;
+
+fn long_instance() -> Instance {
+    Instance::new(
+        (0..LONG)
+            .map(|i| Point::new(1.0 + i as f64 * 0.5, (i % 7) as f64 * 0.25))
+            .collect(),
+    )
+}
+
+/// The source walks the sleepers in index order and wakes each; every
+/// woken robot steps aside and waits. `tamper(i, rec)` may record the
+/// wake of sleeper `i` itself (returning `true`) to inject a fault.
+fn long_run(rec: &mut dyn Recorder, tamper: &dyn Fn(usize, &mut dyn Recorder) -> bool) {
+    let inst = long_instance();
+    rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+    for (i, &p) in inst.positions().iter().enumerate() {
+        rec.move_to(RobotId::SOURCE, p);
+        if !tamper(i, rec) {
+            wake(rec, RobotId::SOURCE, RobotId::sleeper(i));
+        }
+        let r = RobotId::sleeper(i);
+        rec.move_to(r, Point::new(p.x, p.y + 0.1));
+        let now = rec.current_time(r).expect("woken");
+        rec.wait_until(r, now + 1.0);
+    }
+}
+
+/// Validates a [`long_run`] under `tamper` on both stores at every width,
+/// against `inst`.
+fn long_results(
+    inst: &Instance,
+    tamper: &dyn Fn(usize, &mut dyn Recorder) -> bool,
+) -> [Result<ValidationReport, SimError>; 2] {
+    validate_both(LONG, inst, &ValidationOptions::default(), &|rec| {
+        long_run(rec, tamper)
+    })
+}
+
+/// Wakes sleeper `i` from afar: the waker is sleeper 0, parked at the
+/// start of the line.
+fn wake_from_afar(i: usize, rec: &mut dyn Recorder) {
+    let time = rec.current_time(RobotId::SOURCE).expect("awake");
+    let pos = rec.current_pos(RobotId::SOURCE).expect("awake");
+    rec.activate(RobotId::sleeper(i), time, pos);
+    rec.record_wake(WakeEvent {
+        waker: RobotId::sleeper(0),
+        target: RobotId::sleeper(i),
+        time,
+        pos,
+    });
+}
+
+/// Records a second wake of sleeper 7 at the source's current place.
+fn wake_seven_again(rec: &mut dyn Recorder) {
+    rec.record_wake(WakeEvent {
+        waker: RobotId::SOURCE,
+        target: RobotId::sleeper(7),
+        time: rec.current_time(RobotId::SOURCE).expect("awake"),
+        pos: rec.current_pos(RobotId::SOURCE).expect("awake"),
+    });
+}
+
+#[test]
+fn long_valid_runs_give_bit_identical_reports_at_every_width() {
+    let [flat, compressed] = long_results(&long_instance(), &|_, _| false);
+    let (flat, compressed) = (flat.expect("valid"), compressed.expect("valid"));
+    assert_eq!(bits(&flat), bits(&compressed));
+    assert_eq!(flat.wake_count, LONG);
+}
+
+#[test]
+fn long_runs_report_the_first_fault_across_batches() {
+    let inst = long_instance();
+    // A per-event fault (event 4000) before an order-dependent one
+    // (event 4501 re-wakes sleeper 7): the per-event fault is first.
+    let colocated_first = |i: usize, rec: &mut dyn Recorder| match i {
+        4000 => {
+            wake_from_afar(i, rec);
+            true
+        }
+        4500 => {
+            wake(rec, RobotId::SOURCE, RobotId::sleeper(i));
+            wake_seven_again(rec);
+            true
+        }
+        _ => false,
+    };
+    for err in long_results(&inst, &colocated_first) {
+        let err = err.expect_err("faulty");
+        assert!(matches!(err, SimError::NotColocated { .. }), "{err}");
+    }
+    // The same faults in the other order: the duplicate wins.
+    let duplicate_first = |i: usize, rec: &mut dyn Recorder| match i {
+        3000 => {
+            wake(rec, RobotId::SOURCE, RobotId::sleeper(i));
+            wake_seven_again(rec);
+            true
+        }
+        4000 => {
+            wake_from_afar(i, rec);
+            true
+        }
+        _ => false,
+    };
+    for err in long_results(&inst, &duplicate_first) {
+        let err = err.expect_err("faulty");
+        assert_eq!(err, SimError::AlreadyAwake(RobotId::sleeper(7)));
+    }
+    // A timeline fault in the last batch of robots outranks every wake
+    // fault: timelines are checked first.
+    let mut positions = inst.positions().to_vec();
+    positions[LONG - 10].x += 1.0;
+    let shifted = Instance::new(positions);
+    for err in long_results(&shifted, &colocated_first) {
+        let err = err.expect_err("faulty");
+        let SimError::InvalidTimeline(msg) = &err else {
+            panic!("{err}");
+        };
+        assert!(msg.contains("initial position"), "{msg}");
     }
 }
