@@ -114,56 +114,25 @@ pub fn a_grid<W: WorldView, R: Recorder>(sim: &mut Sim<W, R>, cfg: &AGridConfig)
     // round 0) need time to reach their first corner.
     let mut round_begin = round_start(r, 1);
     let mut round = 1usize;
-    // Slot execution order is observationally irrelevant on pure-sensing
-    // worlds (the ownership filter drops every cross-group sighting), so
-    // their slots run through the batched planner below; the adaptive
-    // adversary keeps the interleaved legacy order its proofs replay.
-    let batched = sim.world().pure_sensing();
     while !frontier.is_empty() {
         // Group the fresh robots by the square they are in.
         let groups = bucket_by_cell(sim, &frontier, &cell_of);
         let mut new_frontier: Vec<RobotId> = Vec::new();
         for slot_idx in 0..8 {
-            let slot_start = round_begin + slot_idx as f64 * slot;
-            if batched {
-                run_slot_batched(
-                    sim,
-                    &groups,
-                    SlotSchedule {
-                        slot_idx,
-                        slot_start,
-                        slot,
-                        round,
-                    },
-                    &tiling,
-                    &cell_of,
-                    &square_of,
-                    &mut new_frontier,
-                );
-                continue;
-            }
-            for (cell, robots) in &groups {
-                let target_cell = tiling.neighbors8(*cell)[slot_idx];
-                let target_sq = square_of(target_cell);
-                let corner = target_sq.min_corner();
-                for &rb in robots {
-                    sim.move_to(rb, corner);
-                    assert!(
-                        sim.time(rb) <= slot_start + 1e-6,
-                        "robot {rb} missed slot {slot_idx} of round {round}"
-                    );
-                    sim.wait_until(rb, slot_start);
-                }
-                // One designated explorer per slot, rotating through the
-                // group so no robot explores more than ⌈8/|group|⌉ squares.
-                let explorer = robots[slot_idx % robots.len()];
-                let woken = explore_and_wake(sim, explorer, &target_sq, &cell_of, target_cell);
-                assert!(
-                    sim.time(explorer) <= slot_start + slot + 1e-6,
-                    "slot {slot_idx} of round {round} overran"
-                );
-                new_frontier.extend(woken);
-            }
+            run_slot(
+                sim,
+                &groups,
+                SlotSchedule {
+                    slot_idx,
+                    slot_start: round_begin + slot_idx as f64 * slot,
+                    slot,
+                    round,
+                },
+                &tiling,
+                &cell_of,
+                &square_of,
+                &mut new_frontier,
+            );
         }
         sim.trace_mut().record(
             format!("grid/round{round}"),
@@ -218,10 +187,10 @@ struct SlotSchedule {
     round: usize,
 }
 
-/// One wave slot on a pure-sensing world, restructured for data
-/// parallelism. The slot's groups target pairwise-distinct squares and
-/// wake only robots *owned* by their target, so the phases below produce
-/// bit-identical results to the interleaved per-group loop:
+/// One wave slot, in phases that fan out over the sim's pool. The slot's
+/// groups target pairwise-distinct squares and wake only robots *owned*
+/// by their target, so the phases below produce bit-identical results to
+/// running the groups one after another:
 ///
 /// 1. **kinematics** (sequential, cheap): every group's corner moves,
 ///    waits and oblivious sweep trajectory are driven through the
@@ -239,9 +208,14 @@ struct SlotSchedule {
 ///
 /// Cross-group visibility is the only thing the reordering can change
 /// (a robot woken by its owner mid-slot may still be *seen* by another
-/// group), and step 3's ownership filter is exactly what discards it.
+/// group), and step 3's ownership filter is exactly what discards it. On
+/// the adaptive adversary, whose look history is state, the looks still
+/// reach the world one at a time in group order (its
+/// [`WorldView::look_batch_into`] is the sequential loop); the `AGrid`
+/// adversary pins in `tests/schedule_identity.rs` hold this path to the
+/// group-by-group schedules.
 #[allow(clippy::too_many_arguments)]
-fn run_slot_batched<W: WorldView, R: Recorder>(
+fn run_slot<W: WorldView, R: Recorder>(
     sim: &mut Sim<W, R>,
     groups: &BTreeMap<CellCoord, Vec<RobotId>>,
     sched: SlotSchedule,

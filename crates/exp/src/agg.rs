@@ -87,40 +87,14 @@ pub struct Aggregate {
 
 /// Groups job results by (scenario, algorithm) in first-appearance order —
 /// which, for results straight out of `Engine::run`, is the plan's own order —
-/// and computes the per-cell statistics.
+/// and computes the per-cell statistics: a [`StreamingAgg`] fed every
+/// result in turn.
 pub fn aggregate(results: &[JobResult]) -> Vec<Aggregate> {
-    let mut groups: Vec<(String, String, Vec<&JobResult>)> = Vec::new();
+    let mut acc = StreamingAgg::new();
     for r in results {
-        match groups
-            .iter_mut()
-            .find(|(s, a, _)| *s == r.scenario && *a == r.algorithm)
-        {
-            Some((_, _, members)) => members.push(r),
-            None => groups.push((r.scenario.clone(), r.algorithm.clone(), vec![r])),
-        }
+        acc.push(r);
     }
-    groups
-        .into_iter()
-        .map(|(scenario, algorithm, members)| {
-            let field = |f: fn(&JobResult) -> f64| -> Stats {
-                Stats::compute(&members.iter().map(|r| f(r)).collect::<Vec<_>>())
-            };
-            Aggregate {
-                scenario,
-                generator: members[0].generator.clone(),
-                algorithm,
-                n: members[0].n,
-                seeds: members.len(),
-                makespan: field(|r| r.makespan),
-                max_energy: field(|r| r.max_energy),
-                total_energy: field(|r| r.total_energy),
-                looks: field(|r| r.looks as f64),
-                peak_mem_bytes: field(|r| r.peak_mem_bytes),
-                all_awake: members.iter().all(|r| r.all_awake),
-                wall_time_s: members.iter().map(|r| r.wall_time_s).sum(),
-            }
-        })
-        .collect()
+    acc.finish()
 }
 
 /// One (scenario, algorithm) cell being accumulated by [`StreamingAgg`]:
@@ -139,13 +113,13 @@ struct GroupAcc {
     wall_time_s: f64,
 }
 
-/// Incremental counterpart of [`aggregate`] for streaming sweeps: feed it
-/// each [`JobResult`] as it is emitted (dropping the result afterwards)
-/// and [`StreamingAgg::finish`] produces aggregates bit-identical to
-/// `aggregate(&all_results)` — same first-appearance grouping, same
-/// nearest-rank percentiles over the same observation order. Memory is
-/// `O(groups × seeds)` observations instead of `O(jobs)` full results
-/// (a `JobResult` carries strings; an observation is one `f64`).
+/// The one aggregator, for streaming sweeps and [`aggregate`] alike: feed
+/// it each [`JobResult`] as it is emitted (dropping the result afterwards)
+/// and [`StreamingAgg::finish`] groups cells in first-appearance order,
+/// with nearest-rank percentiles over each cell's observations in arrival
+/// order. Memory is `O(groups × seeds)` observations instead of `O(jobs)`
+/// full results (a `JobResult` carries strings; an observation is one
+/// `f64`).
 #[derive(Default)]
 pub struct StreamingAgg {
     groups: Vec<GroupAcc>,
@@ -158,7 +132,7 @@ impl StreamingAgg {
     }
 
     /// Folds one job result into its (scenario, algorithm) cell. Feed
-    /// results in job order to reproduce [`aggregate`]'s output exactly.
+    /// results in job order to group cells in plan order.
     pub fn push(&mut self, r: &JobResult) {
         let group = match self
             .groups
@@ -271,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_agg_matches_batch_aggregate_exactly() {
+    fn streaming_agg_folds_interleaved_cells_and_skips_unmeasured_values() {
         let mut results = vec![
             job("a", "AGrid", 10.0),
             job("a", "AGrid", 20.0),
@@ -280,9 +254,6 @@ mod tests {
             job("b", "AGrid", 3.0),
             job("a", "AGrid", 30.0),
         ];
-        // Unmeasured quantities (NaN observations) must be filtered the
-        // same way; the cell keeps a finite observation so the resulting
-        // statistics stay comparable with `==`.
         results[3].max_energy = f64::NAN;
         results[3].all_awake = false;
         let mut streaming = StreamingAgg::new();
@@ -290,7 +261,16 @@ mod tests {
             streaming.push(r);
         }
         assert_eq!(streaming.job_count(), results.len());
-        assert_eq!(streaming.finish(), aggregate(&results));
+        let aggs = streaming.finish();
+        assert_eq!(aggs.len(), 3);
+        // A cell's late member joins its first-appearance group.
+        assert_eq!((aggs[0].scenario.as_str(), aggs[0].seeds), ("a", 3));
+        assert_eq!(aggs[0].makespan, Stats::compute(&[10.0, 20.0, 30.0]));
+        // The unmeasured energy is skipped, not averaged in as NaN.
+        assert_eq!(aggs[2].max_energy, Stats::compute(&[1.5]));
+        assert!(!aggs[2].all_awake);
+        assert!(aggs[0].all_awake);
+        assert_eq!(aggs[0].wall_time_s, 1.5);
     }
 
     #[test]

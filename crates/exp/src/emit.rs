@@ -1,6 +1,6 @@
-//! Machine-readable result emission: JSON-lines and CSV per-job records,
-//! deterministic aggregated JSON, and the `BENCH_results.json`
-//! perf-trajectory format.
+//! Machine-readable result emission: JSON-lines and CSV per-job records
+//! (streamed one record at a time by [`JobStreamWriter`]), deterministic
+//! aggregated JSON, and the `BENCH_results.json` perf-trajectory format.
 //!
 //! All JSON is hand-rolled (the workspace is offline — no serde). Numbers
 //! use Rust's shortest round-trip formatting, so output is byte-stable
@@ -52,12 +52,15 @@ fn stats_json(s: &Stats) -> String {
     )
 }
 
-fn job_json(r: &JobResult, include_wall_time: bool) -> String {
-    let mut out = format!(
+/// One job as a single JSON-lines record (no trailing newline, wall time
+/// included, so not byte-stable across machines — use
+/// [`aggregates_to_json`] for that).
+pub fn job_to_jsonl_line(r: &JobResult) -> String {
+    format!(
         "{{\"job\":{},\"scenario\":\"{}\",\"generator\":\"{}\",\"algorithm\":\"{}\",\
          \"seed\":{},\"seed_index\":{},\"n\":{},\"ell\":{},\"rho\":{},\"xi_ell\":{},\
          \"makespan\":{},\"completion_time\":{},\"max_energy\":{},\"total_energy\":{},\
-         \"looks\":{},\"all_awake\":{},\"peak_mem_bytes\":{}",
+         \"looks\":{},\"all_awake\":{},\"peak_mem_bytes\":{},\"wall_time_s\":{}}}",
         r.job,
         escape(&r.scenario),
         escape(&r.generator),
@@ -74,41 +77,19 @@ fn job_json(r: &JobResult, include_wall_time: bool) -> String {
         num(r.total_energy),
         r.looks,
         r.all_awake,
-        num(r.peak_mem_bytes)
-    );
-    if include_wall_time {
-        let _ = write!(out, ",\"wall_time_s\":{}", num(r.wall_time_s));
-    }
-    out.push('}');
-    out
+        num(r.peak_mem_bytes),
+        num(r.wall_time_s)
+    )
 }
 
-/// One job as a single JSON-lines record (no trailing newline, wall time
-/// included). [`jobs_to_jsonl`] is exactly these lines joined by `\n` —
-/// the contract that makes the streaming `--out` path byte-identical to
-/// the buffered one.
-pub fn job_to_jsonl_line(r: &JobResult) -> String {
-    job_json(r, true)
-}
-
-/// One JSON object per line, one line per job (includes wall time, so not
-/// byte-stable across machines — use [`aggregates_to_json`] for that).
-pub fn jobs_to_jsonl(results: &[JobResult]) -> String {
-    let mut out = String::new();
-    for r in results {
-        out.push_str(&job_to_jsonl_line(r));
-        out.push('\n');
-    }
-    out
-}
-
-/// The CSV header row emitted by [`jobs_to_csv`] (no trailing newline).
+/// The CSV header row a [`JobStreamWriter::csv`] stream starts with (no
+/// trailing newline).
 pub const CSV_HEADER: &str = "job,scenario,generator,algorithm,seed,seed_index,n,ell,rho,xi_ell,\
      makespan,completion_time,max_energy,total_energy,looks,all_awake,\
      peak_mem_bytes,wall_time_s";
 
-/// One job as a single CSV row (no trailing newline). [`jobs_to_csv`] is
-/// [`CSV_HEADER`] plus exactly these rows.
+/// One job as a single CSV row (no trailing newline), in [`CSV_HEADER`]
+/// column order.
 pub fn job_to_csv_row(r: &JobResult) -> String {
     let csv_field = |s: &str| -> String {
         if s.contains(',') || s.contains('"') {
@@ -148,41 +129,33 @@ pub fn job_to_csv_row(r: &JobResult) -> String {
     )
 }
 
-/// CSV with a header row, one row per job.
-pub fn jobs_to_csv(results: &[JobResult]) -> String {
-    let mut out = String::from(CSV_HEADER);
-    out.push('\n');
-    for r in results {
-        let _ = writeln!(out, "{}", job_to_csv_row(r));
-    }
-    out
-}
-
 /// Incremental per-job record writer for streaming sweeps: each
 /// [`JobResult`] is rendered (JSON-lines record or CSV row, chosen at
 /// construction) and written the moment it arrives, with an explicit
 /// flush every `flush_every` records so a long sweep's partial output is
-/// durable at a known cadence. The byte stream is identical to the
-/// buffered [`jobs_to_jsonl`] / [`jobs_to_csv`] output for the same
-/// results.
+/// durable at a known cadence. Every line is [`job_to_jsonl_line`] or
+/// [`job_to_csv_row`] of its record, so a resumed stream appends exactly
+/// the bytes an unbroken one would have written.
 pub struct JobStreamWriter<W: io::Write> {
     inner: W,
     csv: bool,
     flush_every: usize,
     unflushed: usize,
-    written: usize,
 }
 
 impl<W: io::Write> JobStreamWriter<W> {
-    /// A JSON-lines streamer. `flush_every` is clamped to at least 1.
-    pub fn jsonl(inner: W, flush_every: usize) -> Self {
+    fn new(inner: W, csv: bool, flush_every: usize) -> Self {
         JobStreamWriter {
             inner,
-            csv: false,
+            csv,
             flush_every: flush_every.max(1),
             unflushed: 0,
-            written: 0,
         }
+    }
+
+    /// A JSON-lines streamer. `flush_every` is clamped to at least 1.
+    pub fn jsonl(inner: W, flush_every: usize) -> Self {
+        Self::new(inner, false, flush_every)
     }
 
     /// A CSV streamer; writes the header row immediately.
@@ -192,25 +165,13 @@ impl<W: io::Write> JobStreamWriter<W> {
     /// Propagates the underlying write error.
     pub fn csv(mut inner: W, flush_every: usize) -> io::Result<Self> {
         writeln!(inner, "{CSV_HEADER}")?;
-        Ok(JobStreamWriter {
-            inner,
-            csv: true,
-            flush_every: flush_every.max(1),
-            unflushed: 0,
-            written: 0,
-        })
+        Ok(Self::new(inner, true, flush_every))
     }
 
     /// A CSV streamer that does *not* write a header row — the resume
     /// path, where the interrupted file's own header already stands.
     pub fn csv_resumed(inner: W, flush_every: usize) -> Self {
-        JobStreamWriter {
-            inner,
-            csv: true,
-            flush_every: flush_every.max(1),
-            unflushed: 0,
-            written: 0,
-        }
+        Self::new(inner, true, flush_every)
     }
 
     /// Writes one record, flushing when the cadence comes due.
@@ -225,18 +186,12 @@ impl<W: io::Write> JobStreamWriter<W> {
             job_to_jsonl_line(r)
         };
         writeln!(self.inner, "{line}")?;
-        self.written += 1;
         self.unflushed += 1;
         if self.unflushed >= self.flush_every {
             self.inner.flush()?;
             self.unflushed = 0;
         }
         Ok(())
-    }
-
-    /// Records written so far.
-    pub fn written(&self) -> usize {
-        self.written
     }
 
     /// Flushes any tail shorter than the cadence and returns the sink.
@@ -402,9 +357,7 @@ mod tests {
     #[test]
     fn jsonl_has_one_object_per_job_with_wall_time() {
         let (_, results) = sample();
-        let text = jobs_to_jsonl(&results);
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
+        for line in results.iter().map(job_to_jsonl_line) {
             assert!(line.starts_with('{') && line.ends_with('}'));
             assert!(line.contains("\"wall_time_s\":0.25"));
             assert!(line.contains("\"xi_ell\":4.5"));
@@ -414,11 +367,11 @@ mod tests {
     #[test]
     fn csv_has_header_and_rows() {
         let (_, results) = sample();
-        let text = jobs_to_csv(&results);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("job,scenario"));
-        assert!(lines[1].contains(",AGrid,"));
+        assert!(CSV_HEADER.starts_with("job,scenario"));
+        assert_eq!(CSV_HEADER.split(',').count(), 18);
+        let row = job_to_csv_row(&results[0]);
+        assert_eq!(row.split(',').count(), 18, "{row}");
+        assert!(row.contains(",AGrid,"), "{row}");
     }
 
     #[test]
@@ -455,12 +408,8 @@ mod tests {
     fn peak_memory_flows_into_every_emitter() {
         let (plan, results) = sample();
         let aggs = crate::agg::aggregate(&results);
-        assert!(jobs_to_jsonl(&results).contains("\"peak_mem_bytes\":4096"));
-        assert!(jobs_to_csv(&results)
-            .lines()
-            .next()
-            .unwrap()
-            .contains("peak_mem_bytes"));
+        assert!(job_to_jsonl_line(&results[0]).contains("\"peak_mem_bytes\":4096"));
+        assert!(CSV_HEADER.contains("peak_mem_bytes"));
         let json = aggregates_to_json(&plan, &aggs);
         assert!(json.contains("\"peak_mem_bytes\":{\"mean\":4096"), "{json}");
     }
@@ -482,19 +431,25 @@ mod tests {
     }
 
     #[test]
-    fn stream_writers_reproduce_the_buffered_output_byte_for_byte() {
+    fn stream_writers_emit_one_record_function_line_per_job() {
         let (_, results) = sample();
         let mut jsonl = JobStreamWriter::jsonl(Vec::new(), 1);
         let mut csv = JobStreamWriter::csv(Vec::new(), 3).unwrap();
+        let mut resumed = JobStreamWriter::csv_resumed(Vec::new(), 3);
         for r in &results {
             jsonl.write(r).unwrap();
             csv.write(r).unwrap();
+            resumed.write(r).unwrap();
         }
-        assert_eq!(jsonl.written(), 2);
         let jsonl = String::from_utf8(jsonl.finish().unwrap()).unwrap();
         let csv = String::from_utf8(csv.finish().unwrap()).unwrap();
-        assert_eq!(jsonl, jobs_to_jsonl(&results));
-        assert_eq!(csv, jobs_to_csv(&results));
+        let resumed = String::from_utf8(resumed.finish().unwrap()).unwrap();
+        let lines = |f: fn(&JobResult) -> String| -> String {
+            results.iter().map(|r| format!("{}\n", f(r))).collect()
+        };
+        assert_eq!(jsonl, lines(job_to_jsonl_line));
+        assert_eq!(resumed, lines(job_to_csv_row));
+        assert_eq!(csv, format!("{CSV_HEADER}\n{resumed}"));
     }
 
     #[test]

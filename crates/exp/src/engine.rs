@@ -6,9 +6,8 @@
 //!   threading `threads`/`ParPool` arguments through every call site;
 //! * [`Engine::submit`] runs a whole [`ExperimentPlan`] on a pool of
 //!   worker threads and returns a [`JobStream`] — a bounded, in-order,
-//!   cancellable iterator of [`JobResult`]s; [`Engine::run`] and
-//!   [`Engine::run_streaming`] are the collect/callback conveniences over
-//!   it;
+//!   cancellable iterator of [`JobResult`]s; [`Engine::run`] collects it
+//!   into a vector;
 //! * [`Engine::single_job`] runs one scenario × algorithm × seed
 //!   combination under a given [`Profile`] and returns its record,
 //!   through the same code path as a plan's workers; [`Engine::single`]
@@ -359,27 +358,6 @@ impl Engine {
         Ok(results)
     }
 
-    /// [`Engine::run`] without the `O(jobs)` result vector: every result
-    /// is handed to `on_result` in strict job order and then dropped, so
-    /// peak memory is `O(workers)` results regardless of plan size — the
-    /// execution path behind `dftp sweep --out FILE`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run`]; results preceding the failure have already
-    /// been emitted by then, so callers streaming to a file should treat
-    /// an `Err` as truncating the output.
-    pub fn run_streaming(
-        &self,
-        plan: &ExperimentPlan,
-        mut on_result: impl FnMut(&JobResult),
-    ) -> Result<(), ExpError> {
-        for item in self.submit(plan)? {
-            on_result(&item?);
-        }
-        Ok(())
-    }
-
     /// Runs one scenario × algorithm × seed combination to completion
     /// under the full-schedule profile and returns the materialized run —
     /// schedule, phase trace, positions — for harnesses (figures, SVG
@@ -672,9 +650,9 @@ mod tests {
 
     #[test]
     fn results_are_identical_across_entry_points_and_thread_counts() {
-        // Every way to run a plan — collected, streamed, called back —
-        // at any `threads` and `sim_threads`, yields the same records
-        // (bar wall time), in job order, under every recording profile.
+        // Every way to run a plan — collected or streamed — at any
+        // `threads` and `sim_threads`, yields the same records (bar wall
+        // time), in job order, under every recording profile.
         for profile in [Profile::Full, Profile::Compressed] {
             let plan = tiny_plan().profile(profile);
             let want: Vec<_> = Engine::with_threads(2)
@@ -690,14 +668,6 @@ mod tests {
                 assert_eq!(stream.total_jobs(), 4);
                 let streamed: Vec<_> = stream.map(|r| strip_wall(r.unwrap())).collect();
                 assert_eq!(streamed, want, "{profile} submit, threads={threads}");
-                let mut called_back = Vec::new();
-                engine
-                    .run_streaming(&plan, |r| called_back.push(strip_wall(r.clone())))
-                    .unwrap();
-                assert_eq!(
-                    called_back, want,
-                    "{profile} run_streaming, threads={threads}"
-                );
                 let collected: Vec<_> = engine.run(&plan).unwrap();
                 let collected: Vec<_> = collected.into_iter().map(strip_wall).collect();
                 assert_eq!(collected, want, "{profile} run, threads={threads}");
@@ -1062,12 +1032,21 @@ mod tests {
             .run(&plan([optimal, grid], 4))
             .unwrap_err();
         assert!(matches!(err, ExpError::Unsupported(_)), "{err}");
-        let mut streamed = Vec::new();
-        let err = Engine::with_threads(2)
-            .run_streaming(&plan([grid, optimal], 2), |r| streamed.push(r.job))
-            .unwrap_err();
-        assert!(matches!(err, ExpError::Unsupported(_)), "{err}");
-        assert_eq!(streamed, vec![0, 1], "AGrid jobs precede the failure");
+        let streamed: Vec<_> = Engine::with_threads(2)
+            .submit(&plan([grid, optimal], 2))
+            .unwrap()
+            .collect();
+        assert_eq!(streamed.len(), 3, "the stream ends at its first failure");
+        let jobs: Vec<_> = streamed[..2]
+            .iter()
+            .map(|r| r.as_ref().unwrap().job)
+            .collect();
+        assert_eq!(jobs, vec![0, 1], "AGrid jobs precede the failure");
+        assert!(
+            matches!(streamed[2], Err(ExpError::Unsupported(_))),
+            "{:?}",
+            streamed[2]
+        );
     }
 
     #[test]
@@ -1156,8 +1135,9 @@ mod tests {
             json.contains("\"max_energy\":{\"mean\":null"),
             "unmeasured energy must emit null: {json}"
         );
-        let csv = crate::emit::jobs_to_csv(&results);
-        assert!(!csv.contains("NaN"), "NaN leaked into CSV: {csv}");
+        for csv in results.iter().map(crate::emit::job_to_csv_row) {
+            assert!(!csv.contains("NaN"), "NaN leaked into CSV: {csv}");
+        }
     }
 
     #[test]

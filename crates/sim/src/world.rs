@@ -52,9 +52,11 @@ pub trait WorldView {
     /// in between return the same sightings, regardless of what other
     /// `look`s happened. Concrete worlds qualify; the adaptive adversary
     /// does **not** (every snapshot eliminates hiding candidates, so look
-    /// *history* is state). Drivers consult this before reordering or
-    /// fanning out sensing, e.g. `AGrid`'s slot-batched frontier
-    /// expansion.
+    /// *history* is state). No driver branches on it: batched sensing
+    /// goes through [`WorldView::look_batch_into`], whose in-order default
+    /// already keeps impure worlds sound, and only pure worlds override
+    /// that with a parallel fan-out. It stays on the trait as a declared
+    /// property of each world, which wrapping worlds forward.
     fn pure_sensing(&self) -> bool {
         false
     }

@@ -2,6 +2,7 @@
 //!
 //! ```console
 //! $ dftp solve --alg separator --gen disk --n 100 --radius 20 --seed 1
+//! $ dftp solve --alg central-anytime --gen disk --n 500 --radius 40 --workers 2
 //! $ dftp params --gen disk --n 200 --radius 30 --seed 7
 //! $ dftp svg --alg separator --gen lattice --side 12 --spacing 2 --out run.svg
 //! $ dftp compare --gen snake --legs 4 --leg 60 --spacing 2
@@ -11,22 +12,24 @@
 //! ```
 //!
 //! Generators are resolved through the scenario registry
-//! (`freezetag::instances::registry`); unknown `--options` are usage
-//! errors, not silently ignored. Everything is deterministic given
-//! `--seed` (or, for sweeps, `--plan-seed` — byte-identical output for
-//! any `--threads` *and* any `--sim-threads`).
+//! (`freezetag::instances::registry`); `--alg` takes the sweep grammar
+//! (`freezetag::exp::AlgSpec::parse`); unknown `--options` are usage
+//! errors, not silently ignored. Every distributed run goes through
+//! `Engine::single`, the job path sweeps use. Everything is deterministic
+//! given `--seed` (or, for sweeps, `--plan-seed` — byte-identical output
+//! for any `--threads` *and* any `--sim-threads`).
 
-use freezetag::core::{bounds, run_algorithm, solve, Algorithm};
+use freezetag::core::{bounds, Algorithm};
 use freezetag::exp::{
-    agg, emit, journal, serve, AlgSpec, Engine, EngineConfig, ExperimentPlan, ScenarioSpec,
-    SubmitOptions,
+    agg, emit, journal, serve, AlgSpec, Engine, EngineConfig, ExpError, ExperimentPlan,
+    ScenarioSpec, SingleRun, SubmitOptions,
 };
 use freezetag::instances::registry::{self, GeneratorInfo, ParamMap};
 use freezetag::instances::{AdmissibleTuple, Instance};
 use freezetag::sim::svg::{render_run, SvgOptions};
-use freezetag::sim::{ConcreteWorld, Sim};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -38,10 +41,44 @@ fn main() -> ExitCode {
     };
     match run(&cmd, &opts) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!("{}", usage());
             ExitCode::FAILURE
+        }
+        Err(Failure::Runtime(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command failed. Only a usage error — the invocation itself is
+/// wrong — is followed by the usage text; a runtime error (I/O, a job
+/// that failed validation or panicked) prints its message alone.
+enum Failure {
+    Usage(String),
+    Runtime(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<ExpError> for Failure {
+    /// Plan, registry and unsupported-combination errors reject what was
+    /// asked for; validation failures, panics and cancellations happen
+    /// while running it.
+    fn from(e: ExpError) -> Self {
+        match e {
+            ExpError::InvalidPlan(_) | ExpError::Registry(_) | ExpError::Unsupported(_) => {
+                Failure::Usage(e.to_string())
+            }
+            ExpError::Validation { .. } | ExpError::Cancelled | ExpError::Internal(_) => {
+                Failure::Runtime(e.to_string())
+            }
         }
     }
 }
@@ -49,16 +86,14 @@ fn main() -> ExitCode {
 fn usage() -> String {
     let mut out = String::from(
         "usage:
-  dftp solve    --alg <separator|grid|wave> --gen <GEN> [GEN OPTIONS]
-                [--strategy <quadtree|greedy|median|chain>]  (separator only)
-                [--algorithm <central:STRATEGY|central-anytime|optimal>]
+  dftp solve    [--alg <ALG>] --gen <GEN> [GEN OPTIONS]
                 [--time-budget <SECS>] [--workers <N>]  (central-anytime only)
   dftp compare  --gen <GEN> [GEN OPTIONS]
   dftp params   --gen <GEN> [GEN OPTIONS]
-  dftp svg      --alg <ALG> --gen <GEN> [GEN OPTIONS] --out <FILE>
+  dftp svg      [--alg <ALG>] --gen <GEN> [GEN OPTIONS] --out <FILE>
   dftp generate --gen <GEN> [GEN OPTIONS] [--out <FILE>]
-  dftp sweep    --scenarios <SPEC[,SPEC...]> [--algs <A[,A...]>]
-                [--algorithms <A[,A...]>] [--seeds <K>] [--plan-seed <S>]
+  dftp sweep    --scenarios <SPEC[,SPEC...]> [--algs <ALG[,ALG...]>]
+                [--algorithms <ALG[,ALG...]>] [--seeds <K>] [--plan-seed <S>]
                 [--threads <N>] [--sim-threads <N>]
                 [--profile <full|stats|compressed>]
                 [--format <json|jsonl|csv>] [--flush-every <K>]
@@ -66,15 +101,15 @@ fn usage() -> String {
   dftp serve    [--port <P>] [--threads <N>] [--cache-capacity <K>]
                 [--queue-depth <D>]
 
+algorithms (ALG):     separator[:STRATEGY] | grid | wave | central:STRATEGY |
+                      central-anytime | optimal; STRATEGY = quadtree | greedy |
+                      median | chain (default: separator for solve and svg,
+                      separator,grid,wave for sweep)
+solve central-*:      central:*, central-anytime and optimal build a wake tree
+                      on the known positions; for central-anytime --workers
+                      sets execution threads only (byte-identical output) and
+                      --time-budget returns the best tree found in time
 sweep scenario spec:  GEN[:key=value...]          e.g. disk:n=40:radius=8
-sweep algorithms:     separator[:STRATEGY] | grid | wave |
-                      central:STRATEGY | central-anytime | optimal
-                      (default: separator,grid,wave)
-solve --algorithm:    run a centralized baseline on the generated instance;
-                      central-anytime is the parallel anytime optimizer —
-                      --workers sets execution threads only (output is
-                      byte-identical for any count) and --time-budget caps
-                      wall clock, returning the best tree found so far
 sweep --algorithms:   keep only the named algorithms of the plan's axis —
                       re-run one algorithm's cells without editing the plan
                       (names are validated; an empty intersection errors)
@@ -88,9 +123,9 @@ sweep profiles:       full       = complete schedules + validation (default)
 sweep parallelism:    --threads     = total core budget (inter-job workers)
                       --sim-threads = deterministic cores *within* each job;
                               output is byte-identical for any combination
-sweep streaming:      with --out, records stream to the file as jobs finish
-                      (bounded memory); --flush-every <K> flushes the file
-                      every K records (default 64)
+sweep streaming:      records stream to stdout, or with --out to the file,
+                      as jobs finish (bounded memory); --flush-every <K>
+                      flushes every K records (default 64)
 sweep resume:         --out FILE keeps a FILE.journal sidecar while a
                       jsonl/csv sweep runs; after an interruption,
                       re-running with --resume verifies the plan matches,
@@ -120,8 +155,9 @@ generators (defaults in parentheses; unseeded generators ignore --seed):
         let _ = writeln!(out, "  {name:<34} {}", params.join(" "));
     }
     out.push_str(
-        "\nthe adversarial layouts (theorem2, theorem3) run via solve and sweep;\n\
-         compare/params/svg/generate need a concrete instance and reject them.",
+        "\nthe adversarial layouts (theorem2, theorem3) run via solve, compare, svg\n\
+         and sweep (distributed algorithms only); params/generate need a concrete\n\
+         instance and reject them.",
     );
     out
 }
@@ -218,39 +254,45 @@ fn build_instance(
     registry::build_instance(info.name, &params, seed).map_err(|e| e.to_string())
 }
 
-fn parse_alg(opts: &HashMap<String, String>) -> Result<Algorithm, String> {
-    match opts.get("alg").map(String::as_str) {
-        Some("separator") | None => Ok(Algorithm::Separator),
-        Some("grid") => Ok(Algorithm::Grid),
-        Some("wave") => Ok(Algorithm::Wave),
-        Some(other) => Err(format!("unknown algorithm '{other}'")),
-    }
+/// `--alg` in the sweep grammar ([`AlgSpec::parse`]), `separator` when
+/// absent.
+fn alg_spec(opts: &HashMap<String, String>) -> Result<AlgSpec, Failure> {
+    let text = opts.get("alg").map_or("separator", String::as_str);
+    Ok(AlgSpec::parse(text)?)
 }
 
-fn parse_strategy(
-    opts: &HashMap<String, String>,
-) -> Result<freezetag::central::WakeStrategy, String> {
-    use freezetag::central::WakeStrategy;
-    match opts.get("strategy").map(String::as_str) {
-        None | Some("quadtree") => Ok(WakeStrategy::Quadtree),
-        Some("greedy") => Ok(WakeStrategy::Greedy),
-        Some("median") => Ok(WakeStrategy::MedianSplit),
-        Some("chain") => Ok(WakeStrategy::Chain),
-        Some(other) => Err(format!("unknown strategy '{other}'")),
-    }
+/// One distributed run on the generator's scenario through
+/// [`Engine::single`]: the sweep job path under the full profile
+/// (`tuple_for`, dispatch, validation, ξ_ℓ), adversarial layouts
+/// included.
+fn single_run(
+    info: &GeneratorInfo,
+    params: ParamMap,
+    alg: AlgSpec,
+    seed: u64,
+) -> Result<SingleRun, Failure> {
+    let spec = ScenarioSpec {
+        params,
+        ..ScenarioSpec::new(info.name)
+    };
+    Ok(Engine::default().single(&spec, alg, seed)?)
 }
 
-fn print_report(inst: &Instance, alg: Algorithm) -> Result<(), String> {
-    let tuple = inst.admissible_tuple();
-    let rep = solve(inst, &tuple, alg).map_err(|e| e.to_string())?;
-    let params = inst.params(Some(tuple.ell));
-    let xi = params.xi_ell.unwrap_or(f64::NAN);
-    let bound = match alg {
+/// The measured run against the bound of its algorithm's theorem.
+fn print_report(alg: AlgSpec, run: &SingleRun) {
+    let tuple = AdmissibleTuple {
+        ell: run.ell,
+        rho: run.rho,
+        n: run.n,
+    };
+    let rep = &run.report;
+    let xi = run.xi_ell.unwrap_or(f64::NAN);
+    let bound = match rep.algorithm {
         Algorithm::Separator => bounds::separator_makespan_bound(tuple.rho, tuple.ell),
         Algorithm::Grid => bounds::grid_makespan_bound(xi, tuple.ell),
         Algorithm::Wave => bounds::wave_makespan_bound(xi, tuple.ell),
     };
-    println!("{alg} on n={} (tuple {tuple}):", inst.n());
+    println!("{alg} on n={} (tuple {tuple}):", run.n);
     println!(
         "  makespan    {:>12.2}  (bound {:.1}, ratio {:.2})",
         rep.makespan,
@@ -262,20 +304,20 @@ fn print_report(inst: &Instance, alg: Algorithm) -> Result<(), String> {
     println!("  total energy{:>12.2}", rep.total_energy);
     println!("  looks       {:>12}", rep.looks);
     println!("  all awake   {:>12}", rep.all_awake);
-    Ok(())
 }
 
-/// `dftp solve --algorithm ...`: the centralized baselines, which build a
-/// wake tree directly on the generated instance instead of driving the
-/// simulator. Prints the tree digest so runs are byte-comparable — the
-/// CI determinism leg diffs this output across `--workers 1/2/4`.
+/// `dftp solve --alg central:*|central-anytime|optimal`: the centralized
+/// baselines, which build a wake tree directly on the generated instance
+/// instead of driving the simulator. Prints the tree digest so runs are
+/// byte-comparable — the CI determinism leg diffs this output across
+/// `--workers 1/2/4`.
 fn cmd_solve_central(
     opts: &HashMap<String, String>,
     spec: AlgSpec,
     info: &'static GeneratorInfo,
     params: ParamMap,
     seed: u64,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     use freezetag::central::{anytime_wake_tree, optimal_makespan, AnytimeConfig};
     use freezetag::sim::{CancelToken, ParPool, RobotId};
     if info.adversarial {
@@ -283,17 +325,8 @@ fn cmd_solve_central(
             "{} needs known positions; the adversarial generator '{}' has none",
             spec.label(),
             info.name
-        ));
-    }
-    if spec != AlgSpec::CentralAnytime {
-        for key in ["time-budget", "workers"] {
-            if opts.contains_key(key) {
-                return Err(format!(
-                    "--{key} only applies to --algorithm central-anytime, not {}",
-                    spec.label()
-                ));
-            }
-        }
+        )
+        .into());
     }
     let inst = registry::build_instance(info.name, &params, seed).map_err(|e| e.to_string())?;
     let items: Vec<(RobotId, freezetag::geometry::Point)> = inst
@@ -317,7 +350,7 @@ fn cmd_solve_central(
         AlgSpec::CentralAnytime => {
             let workers = get_u(opts, "workers", 1)?;
             if workers == 0 {
-                return Err("--workers must be at least 1".to_string());
+                return Err("--workers must be at least 1".to_string().into());
             }
             let time_budget = match opts.get("time-budget") {
                 None => None,
@@ -326,7 +359,7 @@ fn cmd_solve_central(
                         .parse()
                         .map_err(|_| "--time-budget expects seconds (a number)".to_string())?;
                     if secs <= 0.0 || !secs.is_finite() {
-                        return Err(format!("--time-budget must be positive, got {raw}"));
+                        return Err(format!("--time-budget must be positive, got {raw}").into());
                     }
                     let budget = std::time::Duration::try_from_secs_f64(secs)
                         .map_err(|_| format!("--time-budget {raw} is too large for a duration"))?;
@@ -364,96 +397,52 @@ fn cmd_solve_central(
         }
         AlgSpec::CentralOptimal => {
             if inst.n() > 10 {
-                return Err(format!(
-                    "--algorithm optimal is branch-and-bound; n={} > 10",
-                    inst.n()
-                ));
+                return Err(
+                    format!("--alg optimal is branch-and-bound; n={} > 10", inst.n()).into(),
+                );
             }
             let m = optimal_makespan(inst.source(), inst.positions());
             println!("{} on n={}: makespan {:.4}", spec.label(), inst.n(), m);
         }
-        AlgSpec::Distributed { .. } => unreachable!("routed through --alg"),
+        AlgSpec::Distributed { .. } => unreachable!("cmd_solve runs these through the engine"),
     }
     Ok(())
 }
 
-fn cmd_solve(opts: &HashMap<String, String>) -> Result<(), String> {
-    let alg = parse_alg(opts)?;
-    let strategy = parse_strategy(opts)?;
-    if opts.contains_key("strategy") && alg != Algorithm::Separator {
-        return Err(format!(
-            "--strategy only applies to --alg separator, not {alg}"
-        ));
-    }
-    let (info, params) = resolve_generator(
-        "solve",
-        opts,
-        &["alg", "strategy", "algorithm", "time-budget", "workers"],
-    )?;
+fn cmd_solve(opts: &HashMap<String, String>) -> Result<(), Failure> {
+    let (info, params) = resolve_generator("solve", opts, &["alg", "time-budget", "workers"])?;
+    let spec = alg_spec(opts)?;
     let seed = get_u(opts, "seed", 1)? as u64;
-    // --algorithm takes the full sweep-grammar spec and routes the
-    // centralized baselines (wake trees on known positions); the
-    // simulator-driven distributed algorithms keep their --alg spelling.
-    if let Some(text) = opts.get("algorithm") {
-        if opts.contains_key("alg") || opts.contains_key("strategy") {
-            return Err("--algorithm replaces --alg/--strategy; give only one".to_string());
-        }
-        let spec = AlgSpec::parse(text).map_err(|e| e.to_string())?;
-        if let AlgSpec::Distributed { .. } = spec {
-            return Err(format!(
-                "'{text}' is a distributed algorithm — use --alg {text} (with --strategy \
-                 for a separator override)"
-            ));
-        }
-        return cmd_solve_central(opts, spec, info, params, seed);
-    }
-    for key in ["time-budget", "workers"] {
-        if opts.contains_key(key) {
-            return Err(format!(
-                "--{key} only applies to --algorithm central-anytime"
-            ));
+    if spec != AlgSpec::CentralAnytime {
+        for key in ["time-budget", "workers"] {
+            if opts.contains_key(key) {
+                return Err(format!(
+                    "--{key} only applies to --alg central-anytime, not {}",
+                    spec.label()
+                )
+                .into());
+            }
         }
     }
-    // Two cases route through Engine::single: a Lemma 2 strategy
-    // override (only ASeparator may deviate from the O(R) quadtree; see
-    // core::separator docs), and the adversarial layouts, which have no
-    // concrete instance for print_report to analyse.
-    if info.adversarial || strategy != freezetag::central::WakeStrategy::Quadtree {
-        let spec = ScenarioSpec {
-            name: info.name.to_string(),
-            generator: info.name.to_string(),
-            params,
-        };
-        let algspec = if strategy != freezetag::central::WakeStrategy::Quadtree {
-            AlgSpec::separator_with(strategy)
-        } else {
-            AlgSpec::from(alg)
-        };
-        let run = Engine::default()
-            .single(&spec, algspec, seed)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "{} on n={}: makespan {:.2}, all awake: {}",
-            algspec.label(),
-            run.n,
-            run.report.makespan,
-            run.report.all_awake
-        );
-        return Ok(());
+    if let AlgSpec::Distributed { .. } = spec {
+        print_report(spec, &single_run(info, params, spec, seed)?);
+        Ok(())
+    } else {
+        cmd_solve_central(opts, spec, info, params, seed)
     }
-    let inst = registry::build_instance(info.name, &params, seed).map_err(|e| e.to_string())?;
-    print_report(&inst, alg)
 }
 
-fn cmd_compare(opts: &HashMap<String, String>) -> Result<(), String> {
-    let inst = build_instance("compare", opts, &[])?;
+fn cmd_compare(opts: &HashMap<String, String>) -> Result<(), Failure> {
+    let (info, params) = resolve_generator("compare", opts, &[])?;
+    let seed = get_u(opts, "seed", 1)? as u64;
     for alg in [Algorithm::Separator, Algorithm::Grid, Algorithm::Wave] {
-        print_report(&inst, alg)?;
+        let spec = AlgSpec::from(alg);
+        print_report(spec, &single_run(info, params.clone(), spec, seed)?);
     }
     Ok(())
 }
 
-fn cmd_params(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_params(opts: &HashMap<String, String>) -> Result<(), Failure> {
     let inst = build_instance("params", opts, &[])?;
     let p = inst.params(None);
     let tuple = AdmissibleTuple::rounded(p.ell_star, p.rho_star, inst.n())?;
@@ -465,35 +454,34 @@ fn cmd_params(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_svg(opts: &HashMap<String, String>) -> Result<(), String> {
-    let inst = build_instance("svg", opts, &["alg", "out"])?;
-    let alg = parse_alg(opts)?;
+fn cmd_svg(opts: &HashMap<String, String>) -> Result<(), Failure> {
+    let (info, params) = resolve_generator("svg", opts, &["alg", "out"])?;
+    let spec = alg_spec(opts)?;
+    let seed = get_u(opts, "seed", 1)? as u64;
     let out = opts
         .get("out")
         .cloned()
         .unwrap_or_else(|| "dftp_run.svg".to_string());
-    let tuple = inst.admissible_tuple();
-    let mut sim = Sim::new(ConcreteWorld::new(&inst));
-    run_algorithm(&mut sim, &tuple, alg);
-    let (_, schedule, _) = sim.into_parts();
+    let run = single_run(info, params, spec, seed)?;
     let svg = render_run(
-        inst.source(),
-        inst.positions(),
-        Some(&schedule),
+        run.source,
+        &run.positions,
+        Some(&run.schedule),
         &[],
         &SvgOptions::default(),
     );
-    std::fs::write(&out, svg).map_err(|e| e.to_string())?;
+    std::fs::write(&out, svg).map_err(|e| Failure::Runtime(format!("cannot write {out}: {e}")))?;
     println!("wrote {out}");
     Ok(())
 }
 
-fn cmd_generate(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_generate(opts: &HashMap<String, String>) -> Result<(), Failure> {
     let inst = build_instance("generate", opts, &["out"])?;
     let csv = freezetag::instances::io::to_csv(&inst);
     match opts.get("out") {
         Some(path) => {
-            std::fs::write(path, csv).map_err(|e| e.to_string())?;
+            std::fs::write(path, csv)
+                .map_err(|e| Failure::Runtime(format!("cannot write {path}: {e}")))?;
             println!("wrote {path} ({} robots + source)", inst.n());
         }
         None => print!("{csv}"),
@@ -501,7 +489,62 @@ fn cmd_generate(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
+/// Opens a sweep's `--out` file: a fresh one (plus its journal, for the
+/// record-per-line formats), or with `resume` the interrupted file, cut
+/// back to its last complete record. Returns the writer, the first job to
+/// run, and whether a CSV header already stands.
+fn open_sweep_out(
+    path: &str,
+    plan: &ExperimentPlan,
+    format: &str,
+    resume: bool,
+) -> Result<(Box<dyn Write>, usize, bool), Failure> {
+    let out = std::path::Path::new(path);
+    let fingerprint = journal::plan_fingerprint(plan, format);
+    if !resume {
+        if matches!(format, "jsonl" | "csv") {
+            journal::write_journal(out, &fingerprint)
+                .map_err(|e| Failure::Runtime(format!("cannot write {path}.journal: {e}")))?;
+        }
+        let file = std::fs::File::create(path)
+            .map_err(|e| Failure::Runtime(format!("cannot create {path}: {e}")))?;
+        return Ok((Box::new(io::BufWriter::new(file)), 0, false));
+    }
+    match journal::read_journal(out).map_err(|e| Failure::Runtime(e.to_string()))? {
+        None => {
+            return Err(Failure::Runtime(format!(
+                "--resume found no journal at {path}.journal — either the sweep completed \
+                 (nothing to resume) or it never started; rerun without --resume"
+            )))
+        }
+        Some(recorded) if recorded != fingerprint => {
+            return Err(Failure::Runtime(format!(
+                "--resume plan mismatch: {path}.journal records a different plan/format than \
+                 the one given — resuming would interleave records of two different sweeps"
+            )))
+        }
+        Some(_) => {}
+    }
+    let state = journal::resume_point(out, format == "csv")
+        .map_err(|e| Failure::Runtime(format!("cannot prepare {path} for resume: {e}")))?;
+    let file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(out)
+        .map_err(|e| Failure::Runtime(format!("cannot open {path}: {e}")))?;
+    eprintln!(
+        "resuming {path} at job {} of {}",
+        state.records,
+        plan.job_count()
+    );
+    Ok((
+        Box::new(io::BufWriter::new(file)),
+        state.records,
+        state.header_present,
+    ))
+}
+
+fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), Failure> {
     let mut allowed = ExperimentPlan::OPTION_KEYS.to_vec();
     allowed.extend([
         "algorithms",
@@ -513,7 +556,7 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
         "resume",
     ]);
     check_keys("sweep", opts, &allowed)?;
-    let mut plan = ExperimentPlan::from_options(opts, "sweep", "--").map_err(|e| e.to_string())?;
+    let mut plan = ExperimentPlan::from_options(opts, "sweep", "--")?;
     // --algorithms filters the plan's algorithm axis (perf work re-runs a
     // single algorithm's cells without editing the plan). Names are
     // validated through the same parser, so a typo fails loudly; a filter
@@ -522,8 +565,7 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
         let keep: Vec<AlgSpec> = filter_text
             .split(',')
             .map(AlgSpec::parse)
-            .collect::<Result<_, _>>()
-            .map_err(|e| e.to_string())?;
+            .collect::<Result<_, _>>()?;
         for k in &keep {
             if !plan.algorithms.contains(k) {
                 return Err(format!(
@@ -534,7 +576,8 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
                         .map(AlgSpec::label)
                         .collect::<Vec<_>>()
                         .join(", ")
-                ));
+                )
+                .into());
             }
         }
         plan.algorithms.retain(|a| keep.contains(a));
@@ -545,156 +588,103 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
     // after hours of jobs whose output would then be discarded.
     let format = opts.get("format").map(String::as_str).unwrap_or("json");
     if !matches!(format, "json" | "jsonl" | "csv") {
-        return Err(format!("unknown format '{format}' (json|jsonl|csv)"));
+        return Err(format!("unknown format '{format}' (json|jsonl|csv)").into());
     }
     let flush_every = get_u(opts, "flush-every", 64)?;
     if flush_every == 0 {
-        return Err("--flush-every must be at least 1".to_string());
+        return Err("--flush-every must be at least 1".to_string().into());
     }
     let resume = opts.contains_key("resume");
-    if resume && (opts.get("out").is_none() || !matches!(format, "jsonl" | "csv")) {
+    let path = opts.get("out");
+    if resume && (path.is_none() || !matches!(format, "jsonl" | "csv")) {
         return Err(
-            "--resume needs --out with --format jsonl or csv (the record-per-line formats \
-             whose completed prefix is resumable)"
-                .to_string(),
+            "--resume needs --out with --format jsonl or csv (the record-per-line \
+             formats whose completed prefix is resumable)"
+                .to_string()
+                .into(),
         );
     }
-    plan.validate().map_err(|e| e.to_string())?;
+    plan.validate()?;
     let engine = Engine::with_threads(threads);
 
+    // One sink for stdout and --out alike: every record is written the
+    // moment its job (and every lower-indexed job) finishes, so a
+    // 10⁶-robot sweep never holds more than a bounded window of results.
+    // A file sink additionally keeps a FILE.journal sidecar that lets
+    // --resume pick up where a crashed sweep stopped.
     let started = Instant::now();
-    let aggregates = match opts.get("out") {
-        // Streaming path: every record goes to the file the moment its
-        // job (and every lower-indexed job) finishes, so a 10⁶-robot
-        // sweep never holds more than a bounded window of results — and
-        // a crash mid-sweep leaves all completed records on disk, with a
-        // FILE.journal sidecar that lets --resume pick up where it
-        // stopped. The bytes written are identical to the buffered
-        // path's.
-        Some(path) => {
-            let out = std::path::Path::new(path);
-            let fingerprint = journal::plan_fingerprint(&plan, format);
-            let (file, first_job, header_present) = if resume {
-                match journal::read_journal(out).map_err(|e| e.to_string())? {
-                    None => {
-                        return Err(format!(
-                            "--resume found no journal at {path}.journal — either the sweep \
-                             completed (nothing to resume) or it never started; rerun without \
-                             --resume"
-                        ))
-                    }
-                    Some(recorded) if recorded != fingerprint => {
-                        return Err(format!(
-                            "--resume plan mismatch: {path}.journal records a different \
-                             plan/format than the one given — resuming would interleave \
-                             records of two different sweeps"
-                        ))
-                    }
-                    Some(_) => {}
-                }
-                let state = journal::resume_point(out, format == "csv")
-                    .map_err(|e| format!("cannot prepare {path} for resume: {e}"))?;
-                let file = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(out)
-                    .map(std::io::BufWriter::new)
-                    .map_err(|e| format!("cannot open {path}: {e}"))?;
-                eprintln!(
-                    "resuming {path} at job {} of {}",
-                    state.records,
-                    plan.job_count()
-                );
-                (file, state.records, state.header_present)
-            } else {
-                if matches!(format, "jsonl" | "csv") {
-                    journal::write_journal(out, &fingerprint)
-                        .map_err(|e| format!("cannot write {path}.journal: {e}"))?;
-                }
-                let file = std::fs::File::create(path)
-                    .map(std::io::BufWriter::new)
-                    .map_err(|e| format!("cannot create {path}: {e}"))?;
-                (file, 0, false)
-            };
-            let mut sink = match format {
-                "jsonl" => Some(emit::JobStreamWriter::jsonl(file, flush_every)),
-                "csv" if header_present => {
-                    Some(emit::JobStreamWriter::csv_resumed(file, flush_every))
-                }
-                "csv" => Some(
-                    emit::JobStreamWriter::csv(file, flush_every)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?,
-                ),
-                // The aggregate document is written once at the end; the
-                // sweep still streams through the accumulator.
-                _ => None,
-            };
-            let mut streaming_agg = agg::StreamingAgg::new();
-            let stream = engine
-                .submit_with(
-                    &plan,
-                    SubmitOptions {
-                        deadline: None,
-                        first_job,
-                    },
-                )
-                .map_err(|e| e.to_string())?;
-            for item in stream {
-                let r = item.map_err(|e| e.to_string())?;
-                streaming_agg.push(&r);
-                if let Some(w) = sink.as_mut() {
-                    w.write(&r)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                }
-            }
-            let job_count = streaming_agg.job_count();
-            let aggregates = streaming_agg.finish();
-            match sink {
-                Some(w) => {
-                    w.finish()
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    // Every record landed: the journal's "incomplete
-                    // prefix" claim no longer holds.
-                    journal::clear_journal(out)
-                        .map_err(|e| format!("cannot remove {path}.journal: {e}"))?;
-                }
-                None => {
-                    let doc = emit::aggregates_to_json(&plan, &aggregates);
-                    std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-                }
-            }
-            let total_wall = started.elapsed().as_secs_f64();
-            print!("{}", emit::aggregates_to_markdown(&aggregates));
-            let workers = freezetag::exp::inter_job_workers(threads, plan.sim_threads, job_count);
-            println!(
-                "\n{} jobs on {} worker(s) x {} sim thread(s) in {:.2}s — wrote {path}",
-                job_count, workers, plan.sim_threads, total_wall
-            );
-            aggregates
-        }
-        None => {
-            let results = engine.run(&plan).map_err(|e| e.to_string())?;
-            let aggregates = agg::aggregate(&results);
-            let payload = match format {
-                "json" => emit::aggregates_to_json(&plan, &aggregates),
-                "jsonl" => emit::jobs_to_jsonl(&results),
-                "csv" => emit::jobs_to_csv(&results),
-                other => unreachable!("format '{other}' validated above"),
-            };
-            print!("{payload}");
-            aggregates
-        }
+    let dest = path.map_or("stdout", String::as_str);
+    let write_err = |e: io::Error| Failure::Runtime(format!("cannot write {dest}: {e}"));
+    let (mut out, first_job, header_present) = match path {
+        Some(path) => open_sweep_out(path, &plan, format, resume)?,
+        None => (
+            Box::new(io::BufWriter::new(io::stdout())) as Box<dyn Write>,
+            0,
+            false,
+        ),
     };
+    let mut accumulator = agg::StreamingAgg::new();
+    {
+        let mut records = match format {
+            "jsonl" => Some(emit::JobStreamWriter::jsonl(&mut out, flush_every)),
+            "csv" if header_present => {
+                Some(emit::JobStreamWriter::csv_resumed(&mut out, flush_every))
+            }
+            "csv" => Some(emit::JobStreamWriter::csv(&mut out, flush_every).map_err(write_err)?),
+            // The aggregate document is written once at the end; the
+            // sweep still streams through the accumulator.
+            _ => None,
+        };
+        let stream = engine.submit_with(
+            &plan,
+            SubmitOptions {
+                deadline: None,
+                first_job,
+            },
+        )?;
+        for item in stream {
+            let r = item?;
+            accumulator.push(&r);
+            if let Some(w) = records.as_mut() {
+                w.write(&r).map_err(write_err)?;
+            }
+        }
+        if let Some(w) = records {
+            w.finish().map_err(write_err)?;
+        }
+    }
+    let job_count = accumulator.job_count();
+    let aggregates = accumulator.finish();
+    if format == "json" {
+        out.write_all(emit::aggregates_to_json(&plan, &aggregates).as_bytes())
+            .map_err(write_err)?;
+    }
+    out.flush().map_err(write_err)?;
+    drop(out);
+    if let Some(path) = path {
+        // Every record landed: the journal's "incomplete prefix" claim no
+        // longer holds.
+        journal::clear_journal(std::path::Path::new(path))
+            .map_err(|e| Failure::Runtime(format!("cannot remove {path}.journal: {e}")))?;
+        let total_wall = started.elapsed().as_secs_f64();
+        print!("{}", emit::aggregates_to_markdown(&aggregates));
+        let workers = freezetag::exp::inter_job_workers(threads, plan.sim_threads, job_count);
+        println!(
+            "\n{} jobs on {} worker(s) x {} sim thread(s) in {:.2}s — wrote {path}",
+            job_count, workers, plan.sim_threads, total_wall
+        );
+    }
     if let Some(path) = opts.get("bench-json") {
         let total_wall = started.elapsed().as_secs_f64();
         let doc = emit::bench_results_json(&plan, &aggregates, threads, total_wall);
-        std::fs::write(path, doc).map_err(|e| e.to_string())?;
+        std::fs::write(path, doc)
+            .map_err(|e| Failure::Runtime(format!("cannot write {path}: {e}")))?;
         eprintln!("wrote {path}");
     }
     Ok(())
 }
 
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), Failure> {
     check_keys(
         "serve",
         opts,
@@ -710,7 +700,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     let cache_capacity = get_u(opts, "cache-capacity", 1024)?;
     let queue_depth = get_u(opts, "queue-depth", 16)?;
     if queue_depth == 0 {
-        return Err("--queue-depth must be at least 1".to_string());
+        return Err("--queue-depth must be at least 1".to_string().into());
     }
     let config = serve::ServeConfig {
         addr: std::net::SocketAddr::from(([127, 0, 0, 1], port)),
@@ -721,7 +711,8 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         },
         queue_depth,
     };
-    let server = serve::Server::spawn(config).map_err(|e| format!("cannot bind: {e}"))?;
+    let server =
+        serve::Server::spawn(config).map_err(|e| Failure::Runtime(format!("cannot bind: {e}")))?;
     println!("dftp serve listening on http://{}", server.addr());
     println!(
         "  {threads} worker thread(s), result cache {cache_capacity}, queue depth {queue_depth}"
@@ -734,7 +725,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-fn run(cmd: &str, opts: &HashMap<String, String>) -> Result<(), String> {
+fn run(cmd: &str, opts: &HashMap<String, String>) -> Result<(), Failure> {
     match cmd {
         "solve" => cmd_solve(opts),
         "compare" => cmd_compare(opts),
@@ -743,6 +734,6 @@ fn run(cmd: &str, opts: &HashMap<String, String>) -> Result<(), String> {
         "generate" => cmd_generate(opts),
         "sweep" => cmd_sweep(opts),
         "serve" => cmd_serve(opts),
-        other => Err(format!("unknown command '{other}'")),
+        other => Err(format!("unknown command '{other}'").into()),
     }
 }

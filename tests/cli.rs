@@ -11,6 +11,11 @@ fn dftp(args: &[&str]) -> Output {
         .expect("failed to spawn dftp")
 }
 
+/// [`dftp`] with the arguments of one whitespace-separated command line.
+fn dftp_line(line: &str) -> Output {
+    dftp(&line.split_whitespace().collect::<Vec<_>>())
+}
+
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
@@ -161,21 +166,16 @@ fn option_of_a_different_generator_is_rejected() {
 
 #[test]
 fn strategy_on_non_separator_algorithm_is_rejected() {
-    let out = dftp(&[
-        "solve",
-        "--alg",
-        "grid",
-        "--strategy",
-        "chain",
-        "--gen",
-        "disk",
-    ]);
-    assert!(!out.status.success(), "--strategy must not be ignored");
+    // Only ASeparator takes a Lemma 2 strategy; the sweep grammar has no
+    // `grid:STRATEGY` form, so the override is rejected, never ignored.
+    let out = dftp(&["solve", "--alg", "grid:chain", "--gen", "disk"]);
+    assert!(!out.status.success(), "grid:chain must not be ignored");
     let err = stderr(&out);
     assert!(
-        err.contains("--strategy only applies to --alg separator"),
+        err.contains("unknown algorithm spec 'grid:chain'"),
         "stderr: {err}"
     );
+    assert!(err.contains("usage:"), "stderr: {err}");
 }
 
 #[test]
@@ -183,7 +183,7 @@ fn solve_central_anytime_is_byte_identical_across_workers() {
     let run = |workers: &str| {
         dftp(&[
             "solve",
-            "--algorithm",
+            "--alg",
             "central-anytime",
             "--gen",
             "disk",
@@ -218,7 +218,7 @@ fn solve_central_anytime_is_byte_identical_across_workers() {
 fn solve_central_strategy_and_optimal_run_without_the_simulator() {
     let out = dftp(&[
         "solve",
-        "--algorithm",
+        "--alg",
         "central:greedy",
         "--gen",
         "disk",
@@ -234,15 +234,7 @@ fn solve_central_strategy_and_optimal_run_without_the_simulator() {
     assert!(text.contains("central[greedy] on n=30"), "{text}");
     assert!(text.contains("tree digest 0x"), "{text}");
     let out = dftp(&[
-        "solve",
-        "--algorithm",
-        "optimal",
-        "--gen",
-        "disk",
-        "--n",
-        "6",
-        "--radius",
-        "4",
+        "solve", "--alg", "optimal", "--gen", "disk", "--n", "6", "--radius", "4",
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(
@@ -251,15 +243,7 @@ fn solve_central_strategy_and_optimal_run_without_the_simulator() {
         stdout(&out)
     );
     // Branch and bound is exponential: a large n is an error, not a hang.
-    let out = dftp(&[
-        "solve",
-        "--algorithm",
-        "optimal",
-        "--gen",
-        "disk",
-        "--n",
-        "50",
-    ]);
+    let out = dftp(&["solve", "--alg", "optimal", "--gen", "disk", "--n", "50"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("n=50 > 10"), "{}", stderr(&out));
 }
@@ -268,7 +252,7 @@ fn solve_central_strategy_and_optimal_run_without_the_simulator() {
 fn solve_central_anytime_rejects_zero_budget_and_zero_workers() {
     let base = [
         "solve",
-        "--algorithm",
+        "--alg",
         "central-anytime",
         "--gen",
         "disk",
@@ -310,7 +294,7 @@ fn solve_rejects_an_oversized_time_budget_cleanly() {
     // the usage text, not a panic.
     let out = dftp(&[
         "solve",
-        "--algorithm",
+        "--alg",
         "central-anytime",
         "--gen",
         "disk",
@@ -336,7 +320,7 @@ fn solve_central_option_combinations_are_validated() {
     // --workers/--time-budget without central-anytime.
     let out = dftp(&[
         "solve",
-        "--algorithm",
+        "--alg",
         "central:greedy",
         "--gen",
         "disk",
@@ -345,7 +329,7 @@ fn solve_central_option_combinations_are_validated() {
     ]);
     assert!(!out.status.success());
     assert!(
-        stderr(&out).contains("--workers only applies to --algorithm central-anytime"),
+        stderr(&out).contains("--workers only applies to --alg central-anytime"),
         "stderr: {}",
         stderr(&out)
     );
@@ -364,34 +348,10 @@ fn solve_central_option_combinations_are_validated() {
         "stderr: {}",
         stderr(&out)
     );
-    // --algorithm and --alg cannot be mixed.
-    let out = dftp(&[
-        "solve",
-        "--alg",
-        "grid",
-        "--algorithm",
-        "central-anytime",
-        "--gen",
-        "disk",
-    ]);
-    assert!(!out.status.success());
-    assert!(
-        stderr(&out).contains("--algorithm replaces --alg"),
-        "stderr: {}",
-        stderr(&out)
-    );
-    // A distributed spec under --algorithm points back to --alg.
-    let out = dftp(&["solve", "--algorithm", "wave", "--gen", "disk"]);
-    assert!(!out.status.success());
-    assert!(
-        stderr(&out).contains("use --alg wave"),
-        "stderr: {}",
-        stderr(&out)
-    );
     // Centralized baselines need concrete positions.
     let out = dftp(&[
         "solve",
-        "--algorithm",
+        "--alg",
         "central-anytime",
         "--gen",
         "theorem2",
@@ -413,7 +373,7 @@ fn solve_central_anytime_accepts_a_time_budget() {
     // deterministic fixed-iteration answer.
     let budgeted = dftp(&[
         "solve",
-        "--algorithm",
+        "--alg",
         "central-anytime",
         "--gen",
         "disk",
@@ -427,7 +387,7 @@ fn solve_central_anytime_accepts_a_time_budget() {
     assert!(budgeted.status.success(), "stderr: {}", stderr(&budgeted));
     let unbudgeted = dftp(&[
         "solve",
-        "--algorithm",
+        "--alg",
         "central-anytime",
         "--gen",
         "disk",
@@ -457,7 +417,138 @@ fn solve_runs_adversarial_layouts_through_the_engine() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("ASeparator on n="), "{text}");
-    assert!(text.contains("all awake: true"), "{text}");
+    assert!(
+        text.lines()
+            .any(|l| l.starts_with("  all awake") && l.ends_with(" true")),
+        "{text}"
+    );
+}
+
+#[test]
+fn retired_solve_algorithm_flags_are_unknown_options() {
+    // `--alg` is the one algorithm flag; the old `--strategy` and
+    // `--algorithm` spellings error instead of being silently ignored.
+    for (flag, value) in [("--algorithm", "central-anytime"), ("--strategy", "greedy")] {
+        let out = dftp(&["solve", "--alg", "separator", flag, value, "--gen", "disk"]);
+        assert!(!out.status.success(), "{flag} must be rejected");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("unknown option '{flag}'")),
+            "stderr: {err}"
+        );
+        assert!(err.contains("usage:"), "stderr: {err}");
+    }
+}
+
+/// The `  makespan` line's value from a `dftp solve`/`compare` report.
+fn report_makespan(text: &str) -> String {
+    text.lines()
+        .find_map(|l| l.strip_prefix("  makespan"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no makespan line in: {text}"))
+        .to_string()
+}
+
+#[test]
+fn solve_separator_strategy_matches_the_engine_record() {
+    use freezetag::central::WakeStrategy;
+    use freezetag::exp::{AlgSpec, Engine, ScenarioSpec};
+    let out = dftp_line("solve --alg separator:greedy --gen disk --n 40 --radius 8 --seed 3");
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("ASeparator[greedy] on n=40"), "{text}");
+    let spec = ScenarioSpec::new("disk")
+        .with("n", 40.0)
+        .with("radius", 8.0);
+    let run = Engine::default()
+        .single(&spec, AlgSpec::separator_with(WakeStrategy::Greedy), 3)
+        .expect("engine run");
+    assert_eq!(
+        report_makespan(&text),
+        format!("{:.2}", run.report.makespan)
+    );
+}
+
+#[test]
+fn solve_on_a_shrunk_scale_family_reports_its_sweep_tuple() {
+    // A scale family declares ℓ; solve runs the sweep job path, so it
+    // reports the tuple (and makespan) of the sweep record for that seed.
+    let sweep = dftp_line(
+        "sweep --scenarios uniform_1m:n=300:radius=10 --algs grid --seeds 1 --format jsonl",
+    );
+    assert!(sweep.status.success(), "stderr: {}", stderr(&sweep));
+    let record = stdout(&sweep);
+    let field = |key: &str| -> String {
+        let at = record.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+        record[at..]
+            .split([',', '}'])
+            .next()
+            .expect("field value")
+            .to_string()
+    };
+    let solve = dftp_line(&format!(
+        "solve --alg grid --gen uniform_1m --n 300 --radius 10 --seed {}",
+        field("seed")
+    ));
+    assert!(solve.status.success(), "stderr: {}", stderr(&solve));
+    let text = stdout(&solve);
+    let tuple = format!("(ℓ={}, ρ={}, n=300)", field("ell"), field("rho"));
+    assert!(text.contains(&tuple), "want tuple {tuple} in: {text}");
+    assert_eq!(field("ell"), "4", "the family's declared ℓ");
+    let makespan: f64 = field("makespan").parse().expect("makespan");
+    assert_eq!(report_makespan(&text), format!("{makespan:.2}"));
+}
+
+#[test]
+fn compare_and_svg_run_adversarial_layouts() {
+    let layout = "--gen theorem2 --ell 2 --rho 8 --n 20";
+    let out = dftp_line(&format!("compare {layout}"));
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    for alg in ["ASeparator", "AGrid", "AWave"] {
+        assert!(text.contains(&format!("{alg} on n=20")), "{text}");
+    }
+    assert_eq!(
+        text.lines()
+            .filter(|l| l.starts_with("  all awake") && l.ends_with(" true"))
+            .count(),
+        3,
+        "{text}"
+    );
+    let path = std::env::temp_dir().join(format!("dftp_adv_{}.svg", std::process::id()));
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let out = dftp_line(&format!("svg --alg grid --out {path_str} {layout}"));
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let svg = std::fs::read_to_string(&path).expect("svg file");
+    std::fs::remove_file(&path).ok();
+    assert!(
+        svg.starts_with("<svg") && svg.contains("<polyline"),
+        "{svg}"
+    );
+    // A centralized baseline has no trajectories to draw: a clean usage
+    // error, not a panic.
+    let out = dftp(&["svg", "--alg", "central:greedy", "--gen", "disk"]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(
+        err.contains("needs a distributed algorithm"),
+        "stderr: {err}"
+    );
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
+
+#[test]
+fn runtime_errors_print_the_error_without_usage() {
+    // The invocation is fine; the output file cannot be created. That is
+    // a one-line runtime error, not a usage error.
+    let out = dftp_line(
+        "sweep --scenarios disk:n=10 --algs grid --seeds 1 --out /nonexistent/dir/x.json",
+    );
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.starts_with("error: cannot create"), "stderr: {err}");
+    assert!(!err.contains("usage:"), "stderr: {err}");
+    assert_eq!(err.lines().count(), 1, "stderr: {err}");
 }
 
 #[test]
@@ -850,9 +941,8 @@ fn scale_families_resolve_on_the_cli() {
 
 #[test]
 fn sweep_streamed_out_file_matches_the_buffered_stdout_bytes() {
-    // The --out path streams records through the bounded-window runner
-    // and the incremental writer; the file must hold exactly the bytes
-    // the buffered stdout path prints — modulo wall_time_s, the one
+    // Stdout and --out are two sinks of one streaming loop; the file must
+    // hold exactly the bytes stdout prints — modulo wall_time_s, the one
     // field a machine may change between the two runs.
     let strip_wall = |text: &str| -> String {
         text.lines()
@@ -891,7 +981,7 @@ fn sweep_streamed_out_file_matches_the_buffered_stdout_bytes() {
     assert_eq!(
         strip_wall(&file),
         strip_wall(&stdout(&buffered)),
-        "streamed --out bytes must match the buffered emitter"
+        "streamed --out bytes must match the stdout records"
     );
     // With --out, stdout carries the summary table instead of records.
     let summary = stdout(&streamed);

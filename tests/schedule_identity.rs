@@ -8,14 +8,19 @@
 //! family, plus every Lemma 2 wake-strategy for `ASeparator` — a change to
 //! any wake time, segment endpoint, or event order flips the FNV-1a hash.
 //!
+//! `AGrid` is pinned separately on five adaptive-adversary layouts: on an
+//! impure-sensing world every look is state, so these pins catch any
+//! reordering of a slot's sensing relative to its wakes.
+//!
 //! To regenerate after an *intentional* schedule change (which also
 //! requires regenerating BENCH_results.json):
 //! `cargo test --release --test schedule_identity -- --ignored --nocapture`
 
 use freezetag::central::WakeStrategy;
-use freezetag::core::{a_separator, a_wave, ASeparatorConfig, AWaveConfig};
+use freezetag::core::{a_grid, a_separator, a_wave, AGridConfig, ASeparatorConfig, AWaveConfig};
+use freezetag::instances::adversarial::{theorem2_layout, theorem3_layout, AdversarialLayout};
 use freezetag::instances::registry::{self, ParamMap};
-use freezetag::sim::{ConcreteWorld, Schedule, Sim, WorldView};
+use freezetag::sim::{AdversarialWorld, ConcreteWorld, Schedule, Sim, WorldView};
 
 /// FNV-1a over the full schedule: every timeline (robot, activation,
 /// segment endpoints/times) in deterministic order plus the wake log.
@@ -261,29 +266,85 @@ fn run_case(case: &Case) -> u64 {
     schedule_hash(&schedule)
 }
 
-#[test]
-fn schedules_match_seed_hashes() {
-    assert_eq!(CASES.len(), EXPECTED.len(), "pin table out of sync");
+/// `AGrid` against the adaptive adversary: `(label, layout)`.
+fn adversarial_grid_cases() -> Vec<(&'static str, AdversarialLayout)> {
+    vec![
+        ("t2/4-32-4000", theorem2_layout(4.0, 32.0, 4000)),
+        ("t2/2-24-50", theorem2_layout(2.0, 24.0, 50)),
+        ("t2/1-16-30", theorem2_layout(1.0, 16.0, 30)),
+        ("t3/4-1", theorem3_layout(4.0, 1)),
+        ("t3/8-5", theorem3_layout(8.0, 5)),
+    ]
+}
+
+/// Pinned `AGrid` hashes on [`adversarial_grid_cases`]: the schedules of
+/// running each slot's groups one after another (sense, then wake), which
+/// `AGrid`'s phased slot loop must reproduce on the adversary too.
+const EXPECTED_ADVERSARIAL_GRID: &[(&str, u64)] = &[
+    ("t2/4-32-4000", 0x3ab81758f519a7dc),
+    ("t2/2-24-50", 0x74135082e8cad026),
+    ("t2/1-16-30", 0x4d2cf1b0a6b6df40),
+    ("t3/4-1", 0x412a3393ffe277d2),
+    ("t3/8-5", 0xde35d8f11d9efcab),
+];
+
+fn run_adversarial_grid(label: &str, layout: AdversarialLayout) -> u64 {
+    let ell = layout.ell;
+    let mut sim = Sim::new(AdversarialWorld::new(layout));
+    a_grid(&mut sim, &AGridConfig { ell });
+    assert!(sim.world().all_awake(), "{label}: robots left asleep");
+    let (_, schedule, _) = sim.into_parts();
+    schedule_hash(&schedule)
+}
+
+/// Compares measured `(label, hash)` pairs against a pin table and
+/// reports every divergence at once.
+fn check_pins(got: Vec<(&str, u64)>, pins: &[(&str, u64)], what: &str) {
+    assert_eq!(got.len(), pins.len(), "pin table out of sync");
     let mut failures = Vec::new();
-    for (case, &(label, want)) in CASES.iter().zip(EXPECTED) {
-        assert_eq!(case.0, label, "pin table out of sync at {label}");
-        let got = run_case(case);
+    for ((label, got), &(pinned_label, want)) in got.into_iter().zip(pins) {
+        assert_eq!(label, pinned_label, "pin table out of sync at {label}");
         if got != want {
             failures.push(format!("{label}: got {got:#018x}, pinned {want:#018x}"));
         }
     }
-    assert!(
-        failures.is_empty(),
-        "schedules diverged from the seed implementation:\n{}",
-        failures.join("\n")
+    assert!(failures.is_empty(), "{what}:\n{}", failures.join("\n"));
+}
+
+#[test]
+fn schedules_match_seed_hashes() {
+    let got = CASES.iter().map(|c| (c.0, run_case(c))).collect();
+    check_pins(
+        got,
+        EXPECTED,
+        "schedules diverged from the seed implementation",
     );
 }
 
-/// Regeneration helper: prints the pin table (see module docs).
+#[test]
+fn agrid_adversarial_schedules_match_pins() {
+    let got = adversarial_grid_cases()
+        .into_iter()
+        .map(|(label, layout)| (label, run_adversarial_grid(label, layout)))
+        .collect();
+    check_pins(
+        got,
+        EXPECTED_ADVERSARIAL_GRID,
+        "AGrid schedules diverged on the adversary",
+    );
+}
+
+/// Regeneration helper: prints both pin tables (see module docs).
 #[test]
 #[ignore = "regeneration helper, not a check"]
 fn dump_seed_hashes() {
     for case in CASES {
         println!("    (\"{}\", {:#018x}),", case.0, run_case(case));
+    }
+    for (label, layout) in adversarial_grid_cases() {
+        println!(
+            "    (\"{label}\", {:#018x}),",
+            run_adversarial_grid(label, layout)
+        );
     }
 }
