@@ -2,13 +2,15 @@
 //! the greedy baseline is `O(n²)` per woken robot and the instances here
 //! are the table-1 workloads at n ≥ 1000).
 //!
-//! Two acceptance criteria, both asserted so CI fails loudly:
+//! Three acceptance criteria, all asserted so CI fails loudly:
 //!
 //! * under the default fixed iteration budget, `central-anytime` is no
 //!   worse than the best constructive baseline (chain / greedy / median /
 //!   quadtree) on every workload, and strictly better on at least half;
 //! * the best tree is byte-identical at pool widths 1, 2 and 4
-//!   (`--workers` is execution-only; the logical stream count is fixed).
+//!   (`--workers` is execution-only; the logical stream count is fixed);
+//! * the critical-chain filter evaluates fewer than a tenth of the
+//!   proposed moves (`moves_evaluated * 10 < moves_tried`).
 //!
 //! Run with: `cargo run --release -p freezetag_bench --bin optimizer_smoke`
 
@@ -62,6 +64,7 @@ fn main() {
         "n",
         "best constructive",
         "anytime",
+        "evaluated moves",
         "accepted moves",
     ]);
     let mut strict = 0;
@@ -105,14 +108,25 @@ fn main() {
                 "{name}: makespan bits differ between 1 and {threads} workers"
             );
             assert_eq!(base.moves_tried, other.moves_tried);
+            assert_eq!(base.moves_evaluated, other.moves_evaluated);
             assert_eq!(base.moves_accepted, other.moves_accepted);
         }
+        // The critical-chain filter is deterministic, so its work count
+        // is a wall-clock-free guard: a disabled filter evaluates every
+        // valid proposal and fails here.
+        assert!(
+            report.moves_evaluated * 10 < report.moves_tried,
+            "{name}: {} of {} moves evaluated; the critical-chain filter is off",
+            report.moves_evaluated,
+            report.moves_tried
+        );
 
         row(&[
             name.to_string(),
             items.len().to_string(),
             format!("{best_constructive:.4}"),
             format!("{:.4}", report.makespan),
+            format!("{} / {}", report.moves_evaluated, report.moves_tried),
             report.moves_accepted.to_string(),
         ]);
     }
@@ -125,5 +139,5 @@ fn main() {
         "\nok: anytime <= best constructive everywhere, strictly better on {strict}/{} workloads,",
         workloads.len()
     );
-    println!("and byte-identical across 1/2/4 workers.");
+    println!("byte-identical across 1/2/4 workers, with under a tenth of the moves evaluated.");
 }

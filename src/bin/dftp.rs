@@ -390,8 +390,11 @@ fn cmd_solve_central(
             // the counters below (and possibly the tree) are only
             // reproducible under the default fixed iteration budget.
             println!(
-                "  rounds {}, moves {} tried / {} accepted",
-                report.rounds_run, report.moves_tried, report.moves_accepted
+                "  rounds {}, moves {} tried / {} evaluated / {} accepted",
+                report.rounds_run,
+                report.moves_tried,
+                report.moves_evaluated,
+                report.moves_accepted
             );
             println!("  tree digest {:#018x}", report.tree.digest());
         }

@@ -214,6 +214,24 @@ fn solve_central_anytime_is_byte_identical_across_workers() {
     }
 }
 
+/// Value pin of the anytime search at n = 500, where stream 0 starts from
+/// the greedy tree. The digest and the tried/accepted counts were
+/// recorded before the critical-chain filter; the filter must skip only
+/// moves that would have been rejected, so they may never move.
+#[test]
+fn solve_central_anytime_pins_the_greedy_seeded_search() {
+    let out = dftp_line(
+        "solve --alg central-anytime --gen disk --n 500 --radius 40 --seed 1 --workers 2",
+    );
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert_eq!(
+        stdout(&out),
+        "central[anytime] on n=500: makespan 53.0645 (initial 53.0645), total length 2931.6084\n\
+         \x20 rounds 3, moves 24000 tried / 543 evaluated / 2 accepted\n\
+         \x20 tree digest 0x486e69ad0f047fe2\n"
+    );
+}
+
 #[test]
 fn solve_central_strategy_and_optimal_run_without_the_simulator() {
     let out = dftp(&[

@@ -130,6 +130,7 @@ proptest! {
             prop_assert_eq!(&base.tree, &other.tree);
             prop_assert_eq!(base.makespan.to_bits(), other.makespan.to_bits());
             prop_assert_eq!(base.moves_tried, other.moves_tried);
+            prop_assert_eq!(base.moves_evaluated, other.moves_evaluated);
             prop_assert_eq!(base.moves_accepted, other.moves_accepted);
         }
     }
