@@ -14,7 +14,7 @@
 
 use crate::explore::{dedup_sightings, explore, sighting_offsets, sweep_queries};
 use crate::team::Team;
-use freezetag_central::{quadtree_wake_tree, realize};
+use freezetag_central::{quadtree_wake_tree, realize, WakeTree};
 use freezetag_geometry::{sweep, CellCoord, Point, Square, SquareTiling, SQRT_2};
 use freezetag_sim::par::FRONTIER_BATCH;
 use freezetag_sim::{Recorder, RobotId, Sim, WorldView};
@@ -200,7 +200,8 @@ struct SlotSchedule {
 ///    slot's queries in fixed-size batches on the pool — this is the hot
 ///    60–65% of a 10⁶-robot run;
 /// 3. **target selection** (parallel): each group's sighting slice is
-///    deduplicated and ownership-filtered independently;
+///    deduplicated and ownership-filtered, and its wake-up tree built,
+///    independently;
 /// 4. **commit** (sequential): wake trees are realized in group order —
 ///    the stable order-preserving reduction that merges the parallel
 ///    phases' wake decisions into the recorder and the world's wake
@@ -274,21 +275,21 @@ fn run_slot<W: WorldView, R: Recorder>(
     let mut counts = Vec::new();
     sim.look_many_into(&queries, &mut flat, &mut counts);
     let offsets = sighting_offsets(&counts);
-    let select = |p: &GroupPlan| -> Vec<(RobotId, Point)> {
-        dedup_sightings(&flat[offsets[p.q_lo]..offsets[p.q_hi]])
+    let select = |p: &GroupPlan| -> WakeTree {
+        let items: Vec<(RobotId, Point)> = dedup_sightings(&flat[offsets[p.q_lo]..offsets[p.q_hi]])
             .into_iter()
             .filter(|s| cell_of(s.pos) == p.target_cell)
             .map(|s| (s.id, s.pos))
-            .collect()
+            .collect();
+        quadtree_wake_tree(p.target_sq.center(), &items)
     };
     let pool = sim.pool();
-    let items: Vec<Vec<(RobotId, Point)>> = if pool.is_sequential() || flat.len() < PAR_SELECT_MIN {
+    let trees: Vec<WakeTree> = if pool.is_sequential() || flat.len() < PAR_SELECT_MIN {
         plans.iter().map(select).collect()
     } else {
         pool.map_batches(&plans, 1, |_, ps| select(&ps[0]))
     };
-    for (p, items) in plans.iter().zip(items) {
-        let tree = quadtree_wake_tree(p.target_sq.center(), &items);
+    for (p, tree) in plans.iter().zip(trees) {
         let woken = realize(sim, p.explorer, &tree);
         assert!(
             sim.time(p.explorer) <= slot_start + slot + 1e-6,

@@ -31,12 +31,16 @@
 //!
 //! Each robot's state, event bytes and block headers live together in one
 //! per-robot record, so recording an event touches that record and the
-//! tail of its stream rather than a line per field.
+//! tail of its stream rather than a line per field. The records are stored
+//! in activation order behind a slot map by robot index (the
+//! constant-memory recorders' shared layout), so the robots one wake-up
+//! tree woke — the group that moves together next — sit in one contiguous
+//! run of records.
 //!
 //! [`position_at`]: crate::record::ReplayRecorder::position_at
 //! [`Segment`]: crate::Segment
 
-use crate::record::{self, ReplayRecorder, RobotState};
+use crate::record::{self, ActivationOrder, ReplayRecorder, RobotState, ASLEEP_PANIC};
 use crate::{Recorder, RobotId, Segment, WakeEvent};
 use freezetag_geometry::Point;
 use std::cmp::Ordering;
@@ -310,6 +314,7 @@ struct Track {
 }
 
 impl Track {
+    /// The record a robot gets on activation, before its state is set.
     const ASLEEP: Track = Track {
         state: RobotState::ASLEEP,
         count: 0,
@@ -317,8 +322,8 @@ impl Track {
         blocks: Vec::new(),
     };
 
-    /// Bytes per robot that [`Recorder::memory_bytes`] charges for a
-    /// track: the state, a `u32` count and the two `Vec` headers.
+    /// Bytes per woken robot that [`Recorder::memory_bytes`] charges for
+    /// a track: the state, a `u32` count and the two `Vec` headers.
     const BYTES: usize = RobotState::BYTES
         + 4
         + std::mem::size_of::<Vec<u8>>()
@@ -357,7 +362,8 @@ impl Track {
 /// (every segment recoverable bit-exactly) at ≤ 12 B per move instead of
 /// the flat 48.
 ///
-/// Each robot is one `Track`: the `RobotState`
+/// Each woken robot is one `Track`, stored in activation order: the
+/// `RobotState`
 /// [`StatsRecorder`](crate::StatsRecorder) also uses — so the move/wait
 /// arithmetic, and with it every aggregate, is shared and bit-identical to
 /// both other recorders (pinned by `recorder_parity`) — next to its
@@ -367,8 +373,7 @@ impl Track {
 /// ([`validate`](crate::validate)) streams through.
 #[derive(Debug, Clone)]
 pub struct CompressedRecorder {
-    /// Indexed by `RobotId::index()`.
-    robots: Vec<Track>,
+    robots: ActivationOrder<Track>,
     wakes: WakeLog,
     active: usize,
     makespan_acc: f64,
@@ -377,29 +382,40 @@ pub struct CompressedRecorder {
 impl CompressedRecorder {
     #[inline]
     fn active_track(&mut self, robot: RobotId) -> &mut Track {
-        let tr = &mut self.robots[robot.index()];
+        let tr = self.robots.get_mut(robot).expect(ASLEEP_PANIC);
         tr.state.check_active();
         tr
     }
 
     /// Number of robot slots (`n + 1`, the source included).
     pub fn robot_slots(&self) -> usize {
-        self.robots.len()
+        self.robots.slots()
     }
 
     /// Number of recorded segments (moves + waits) for `robot`.
     pub fn segment_count(&self, robot: RobotId) -> usize {
-        self.robots[robot.index()].count as usize
+        self.robots.get(robot).map_or(0, |tr| tr.count as usize)
     }
 
     /// Total recorded segments over all robots.
     pub fn total_segments(&self) -> usize {
-        self.robots.iter().map(|tr| tr.count as usize).sum()
+        self.robots
+            .records()
+            .iter()
+            .map(|tr| tr.count as usize)
+            .sum()
+    }
+
+    /// The woken robots in the order their tracks are stored (activation
+    /// order): the order in which a pass over every trajectory reads
+    /// contiguous memory.
+    pub(crate) fn storage_order(&self) -> Vec<RobotId> {
+        self.robots.storage_order()
     }
 
     /// Activation position of `robot`, `None` if asleep.
     pub fn start_pos(&self, robot: RobotId) -> Option<Point> {
-        let tr = &self.robots[robot.index()];
+        let tr = self.robots.get(robot)?;
         if !tr.state.is_active() {
             return None;
         }
@@ -415,7 +431,10 @@ impl CompressedRecorder {
     /// from the event bytes: no buffer, no allocation. Empty for asleep
     /// robots.
     pub fn segments(&self, robot: RobotId) -> SegmentIter<'_> {
-        SegmentIter::from_block(&self.robots[robot.index()], 0)
+        match self.robots.get(robot) {
+            Some(tr) => SegmentIter::from_block(tr, 0),
+            None => SegmentIter::EMPTY,
+        }
     }
 
     /// Lazy wake-event decoder starting at event index `start`.
@@ -426,6 +445,7 @@ impl CompressedRecorder {
     /// Segment payload (event bytes + block headers) over all robots.
     fn segment_bytes(&self) -> usize {
         self.robots
+            .records()
             .iter()
             .map(|tr| tr.bytes.len() + tr.blocks.len() * std::mem::size_of::<SegBlock>())
             .sum()
@@ -464,6 +484,16 @@ pub struct SegmentIter<'a> {
 }
 
 impl<'a> SegmentIter<'a> {
+    /// The decoder with nothing to decode.
+    const EMPTY: SegmentIter<'static> = SegmentIter {
+        bytes: &[],
+        pos: 0,
+        remaining: 0,
+        t: 0.0,
+        x: 0.0,
+        y: 0.0,
+    };
+
     /// The decoder positioned at the start of block `k` of `tr` (empty
     /// past the last block).
     fn from_block(tr: &'a Track, k: usize) -> Self {
@@ -476,14 +506,7 @@ impl<'a> SegmentIter<'a> {
                 x: b.start_x,
                 y: b.start_y,
             },
-            None => SegmentIter {
-                bytes: &[],
-                pos: 0,
-                remaining: 0,
-                t: 0.0,
-                x: 0.0,
-                y: 0.0,
-            },
+            None => SegmentIter::EMPTY,
         }
     }
 }
@@ -543,7 +566,7 @@ impl ExactSizeIterator for SegmentIter<'_> {}
 impl Recorder for CompressedRecorder {
     fn with_capacity(n: usize) -> Self {
         CompressedRecorder {
-            robots: vec![Track::ASLEEP; n + 1],
+            robots: ActivationOrder::new(n + 1),
             wakes: WakeLog::default(),
             active: 0,
             makespan_acc: 0.0,
@@ -551,20 +574,27 @@ impl Recorder for CompressedRecorder {
     }
 
     fn activate(&mut self, robot: RobotId, time: f64, pos: Point) {
-        self.robots[robot.index()].state.activate(robot, time, pos);
+        self.robots
+            .get_or_insert(robot, Track::ASLEEP)
+            .state
+            .activate(robot, time, pos);
         self.active += 1;
     }
 
     fn is_active(&self, robot: RobotId) -> bool {
-        self.robots[robot.index()].state.is_active()
+        self.robots
+            .get(robot)
+            .is_some_and(|tr| tr.state.is_active())
     }
 
     fn current_time(&self, robot: RobotId) -> Option<f64> {
-        self.robots[robot.index()].state.current_time()
+        self.robots
+            .get(robot)
+            .and_then(|tr| tr.state.current_time())
     }
 
     fn current_pos(&self, robot: RobotId) -> Option<Point> {
-        self.robots[robot.index()].state.current_pos()
+        self.robots.get(robot).and_then(|tr| tr.state.current_pos())
     }
 
     fn move_to(&mut self, robot: RobotId, dest: Point) -> f64 {
@@ -584,8 +614,11 @@ impl Recorder for CompressedRecorder {
     }
 
     fn reserve_moves(&mut self, robot: RobotId, extra: usize) {
-        // ~10 B per encoded move on typical sweeps; a pure capacity hint.
-        self.robots[robot.index()].bytes.reserve(extra * 10);
+        // ~10 B per encoded move on typical sweeps; a pure capacity hint,
+        // and nothing to size for an asleep robot.
+        if let Some(tr) = self.robots.get_mut(robot) {
+            tr.bytes.reserve(extra * 10);
+        }
     }
 
     fn wait_until(&mut self, robot: RobotId, t: f64) {
@@ -622,11 +655,11 @@ impl Recorder for CompressedRecorder {
     }
 
     fn wake_time(&self, robot: RobotId) -> Option<f64> {
-        self.robots[robot.index()].state.wake_time()
+        self.robots.get(robot).and_then(|tr| tr.state.wake_time())
     }
 
     fn travel(&self, robot: RobotId) -> Option<f64> {
-        self.robots[robot.index()].state.travel()
+        self.robots.get(robot).and_then(|tr| tr.state.travel())
     }
 
     fn active_count(&self) -> usize {
@@ -638,26 +671,28 @@ impl Recorder for CompressedRecorder {
     }
 
     fn completion_time(&self) -> f64 {
-        record::completion_time(self.robots.iter().map(|tr| &tr.state))
+        record::completion_time(self.robots.by_index().map(|tr| &tr.state))
     }
 
     fn max_energy(&self) -> f64 {
-        record::max_energy(self.robots.iter().map(|tr| &tr.state))
+        record::max_energy(self.robots.by_index().map(|tr| &tr.state))
     }
 
     fn total_energy(&self) -> f64 {
-        record::total_energy(self.robots.iter().map(|tr| &tr.state))
+        record::total_energy(self.robots.by_index().map(|tr| &tr.state))
     }
 
     fn memory_bytes(&self) -> usize {
         // Lengths, not capacities: byte-identical across thread counts.
-        self.robots.len() * Track::BYTES + self.compressed_bytes()
+        self.robots.slot_map_bytes()
+            + self.robots.records().len() * Track::BYTES
+            + self.compressed_bytes()
     }
 }
 
 impl ReplayRecorder for CompressedRecorder {
     fn position_at(&self, robot: RobotId, t: f64) -> Option<Point> {
-        let tr = &self.robots[robot.index()];
+        let tr = self.robots.get(robot)?;
         let wake = tr.state.wake_time()?;
         // Mirrors Timeline::position_at exactly, block by block.
         if t <= wake || tr.count == 0 {
@@ -925,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "activated twice")]
     fn double_activation_panics() {
         let mut rec = CompressedRecorder::with_capacity(1);
         rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
@@ -933,9 +968,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "robot has no timeline (asleep)")]
     fn moving_sleeping_robot_panics() {
         let mut rec = CompressedRecorder::with_capacity(1);
         rec.move_to(RobotId::sleeper(0), Point::ORIGIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "robot has no timeline (asleep)")]
+    fn waiting_sleeping_robot_panics() {
+        let mut rec = CompressedRecorder::with_capacity(2);
+        rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+        rec.wait_until(RobotId::sleeper(1), 1.0);
+    }
+
+    #[test]
+    fn asleep_robots_answer_nothing_and_hold_no_track() {
+        let mut rec = CompressedRecorder::with_capacity(3);
+        let empty = rec.memory_bytes();
+        assert_eq!(empty, 4 * 4, "a fresh recorder holds only its slot map");
+        rec.activate(RobotId::sleeper(2), 1.0, Point::new(1.0, 1.0));
+        rec.reserve_moves(RobotId::sleeper(0), 1000);
+        assert_eq!(rec.memory_bytes(), empty + Track::BYTES);
+        assert_eq!(rec.robot_slots(), 4);
+        for r in [RobotId::SOURCE, RobotId::sleeper(0), RobotId::sleeper(1)] {
+            assert!(!rec.is_active(r));
+            assert_eq!(rec.current_time(r), None);
+            assert_eq!(rec.current_pos(r), None);
+            assert_eq!(rec.wake_time(r), None);
+            assert_eq!(rec.travel(r), None);
+            assert_eq!(rec.start_pos(r), None);
+            assert_eq!(rec.position_at(r, 0.5), None);
+            assert_eq!(rec.segment_count(r), 0);
+            assert_eq!(rec.segments(r).count(), 0);
+        }
+        assert_eq!(rec.storage_order(), [RobotId::sleeper(2)]);
+        assert_eq!(rec.total_segments(), 0);
     }
 }

@@ -12,15 +12,18 @@
 //! produce identical output for identical input.
 //!
 //! [`ParPool`] deliberately owns no threads: it is a `Copy` configuration
-//! value, and each [`ParPool::map_batches`] call spawns its workers with
-//! [`std::thread::scope`] so borrowed inputs (the world's coordinate
-//! arrays, a query slice) cross into workers without `Arc` or cloning.
-//! Callers amortize the spawn cost by batching at coarse granularity —
-//! e.g. one batch of sensing queries per wave *slot*, not per snapshot.
+//! value. Each [`ParPool::map_batches`] call that fans out runs the batch
+//! loop on the calling thread and on `threads − 1` helpers spawned with
+//! [`std::thread::scope`], so borrowed inputs (the world's coordinate
+//! arrays, a query slice) cross into workers without `Arc` or cloning, and
+//! the caller works instead of waiting. Callers amortize the spawn cost by
+//! batching at coarse granularity — e.g. one batch of sensing queries per
+//! wave *slot*, not per snapshot.
 //!
 //! No crates.io dependency is involved (mirroring the `vendor/` policy):
 //! the pool is ~100 lines of `std`.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -112,14 +115,17 @@ impl ParPool {
     /// every batch, and returns the outputs **in batch order**.
     ///
     /// `f` must be a pure function of its arguments (plus shared read-only
-    /// captures): batches run concurrently on up to [`ParPool::threads`]
-    /// scoped workers, so any hidden mutable state would race, and any
-    /// dependence on execution order would break the determinism contract.
-    /// With one thread — or a single batch — everything runs inline.
+    /// captures): batches run concurrently on the calling thread and up to
+    /// [`ParPool::threads`]` − 1` scoped helpers, so any hidden mutable
+    /// state would race, and any dependence on execution order would break
+    /// the determinism contract. With one thread — or a single batch —
+    /// everything runs inline.
     ///
     /// # Panics
     ///
-    /// Panics if `batch` is 0, and propagates panics from `f`.
+    /// Panics if `batch` is 0. A panic in `f` is propagated with its own
+    /// payload: the one of the lowest-index panicking batch, which is the
+    /// panic the inline loop stops at, whichever thread ran the batch.
     pub fn map_batches<T, U, F>(&self, items: &[T], batch: usize, f: F) -> Vec<U>
     where
         T: Sync,
@@ -133,29 +139,36 @@ impl ParPool {
             return (0..n_batches).map(|i| f(i, chunk_of(i))).collect();
         }
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<U>>> = (0..n_batches).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..self.threads.min(n_batches) {
-                s.spawn(|| loop {
-                    // Claim batch indices through one shared counter: cheap
-                    // dynamic load balancing, while the slot table keeps
-                    // the output in batch order regardless of who finishes
-                    // when.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_batches {
-                        break;
-                    }
-                    let out = f(i, chunk_of(i));
-                    *slots[i].lock().expect("batch slot poisoned") = Some(out);
-                });
+        let slots: Vec<Mutex<Option<std::thread::Result<U>>>> =
+            (0..n_batches).map(|_| Mutex::new(None)).collect();
+        let work = || loop {
+            // Claim batch indices through one shared counter: cheap dynamic
+            // load balancing, while the slot table keeps the output in
+            // batch order regardless of who finishes when.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n_batches {
+                break;
             }
+            let out = catch_unwind(AssertUnwindSafe(|| f(i, chunk_of(i))));
+            *slots[i].lock().expect("batch slot poisoned") = Some(out);
+        };
+        std::thread::scope(|s| {
+            for _ in 1..self.threads.min(n_batches) {
+                s.spawn(work);
+            }
+            work();
         });
         slots
             .into_iter()
             .map(|slot| {
-                slot.into_inner()
+                match slot
+                    .into_inner()
                     .expect("batch slot poisoned")
                     .expect("every claimed batch stores its output")
+                {
+                    Ok(out) => out,
+                    Err(payload) => resume_unwind(payload),
+                }
             })
             .collect()
     }
@@ -259,6 +272,37 @@ mod tests {
         let p = ParPool::new(6);
         assert_eq!(p.threads(), 6);
         assert!(!p.is_sequential());
+    }
+
+    #[test]
+    fn a_panic_carries_the_lowest_panicking_batch_payload_at_any_width() {
+        let items: Vec<usize> = (0..64).collect();
+        for threads in [1, 2, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                ParPool::new(threads).map_batches(&items, 4, |i, _| {
+                    if i % 5 == 3 {
+                        panic!("batch {i} failed");
+                    }
+                    i
+                })
+            });
+            let payload = caught.expect_err("a batch panicked");
+            let msg = payload.downcast_ref::<String>().expect("formatted message");
+            assert_eq!(msg, "batch 3 failed", "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn the_calling_thread_runs_batches_too() {
+        let caller = std::thread::current().id();
+        let items: Vec<u8> = vec![0; 64];
+        let ran_on = ParPool::new(2).map_batches(&items, 1, |_, _| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::current().id()
+        });
+        assert!(ran_on.contains(&caller), "the caller only waited");
+        let distinct: std::collections::HashSet<_> = ran_on.into_iter().collect();
+        assert!(distinct.len() <= 2, "more workers than the pool width");
     }
 
     #[test]

@@ -254,6 +254,9 @@ impl ReplayRecorder for FullRecorder {
     }
 }
 
+/// Panic message of a move or wait recorded for an asleep robot.
+pub(crate) const ASLEEP_PANIC: &str = "robot has no timeline (asleep)";
+
 /// One robot's current kinematic state — wake time, clock, position and
 /// accumulated travel — in one 40-byte record, so a recorded event touches
 /// one cache line instead of one per field. Both constant-memory recorders
@@ -273,7 +276,8 @@ pub(crate) struct RobotState {
 }
 
 impl RobotState {
-    /// A robot that has not been activated.
+    /// A robot that has not been activated: the record a robot gets on
+    /// activation, before its state is set.
     pub(crate) const ASLEEP: RobotState = RobotState {
         wake_time: f64::NAN,
         time: 0.0,
@@ -282,8 +286,8 @@ impl RobotState {
         travel: 0.0,
     };
 
-    /// Bytes per robot that [`Recorder::memory_bytes`] charges for this
-    /// state: five f64 fields.
+    /// Bytes per woken robot that [`Recorder::memory_bytes`] charges for
+    /// this state: five f64 fields.
     pub(crate) const BYTES: usize = 8 * 5;
 
     #[inline]
@@ -312,7 +316,7 @@ impl RobotState {
     /// recorded move and wait.
     #[inline]
     pub(crate) fn check_active(&self) {
-        assert!(self.is_active(), "robot has no timeline (asleep)");
+        assert!(self.is_active(), "{ASLEEP_PANIC}");
     }
 
     #[inline]
@@ -372,6 +376,120 @@ impl RobotState {
     }
 }
 
+/// Per-robot records of a constant-memory recorder, stored in activation
+/// order behind one slot map by robot index.
+///
+/// The generators number robots in no spatial order, but the robots one
+/// `realize` call wakes are exactly the group that moves together next: in
+/// activation order they sit in one contiguous run of records, so a group
+/// move walks neighbouring memory instead of jumping across the whole
+/// array. Asleep robots hold no record at all. Everything defined by robot
+/// index stays so: [`ActivationOrder::by_index`] walks the map in index
+/// order, which is what the aggregate folds use.
+#[derive(Debug, Clone)]
+pub(crate) struct ActivationOrder<T> {
+    /// Storage slot of each robot's record, by `RobotId::index()`;
+    /// [`ActivationOrder::ASLEEP`] until the robot is activated.
+    slot_of: Vec<u32>,
+    /// The records, in activation order.
+    records: Vec<T>,
+}
+
+impl<T> ActivationOrder<T> {
+    /// Slot-map entry of a robot with no record.
+    const ASLEEP: u32 = u32::MAX;
+
+    /// An empty store for `slots` robots. The record array is reserved up
+    /// front (address space, not resident memory) so activations never
+    /// move the records already stored.
+    pub(crate) fn new(slots: usize) -> Self {
+        ActivationOrder {
+            slot_of: vec![Self::ASLEEP; slots],
+            records: Vec::with_capacity(slots),
+        }
+    }
+
+    /// Back to the `new(slots)` state, keeping both allocations.
+    pub(crate) fn reset(&mut self, slots: usize) {
+        self.slot_of.clear();
+        self.slot_of.resize(slots, Self::ASLEEP);
+        self.records.clear();
+        self.records.reserve(slots);
+    }
+
+    /// Number of robot slots (`n + 1`).
+    pub(crate) fn slots(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    /// The stored records, in activation order.
+    pub(crate) fn records(&self) -> &[T] {
+        &self.records
+    }
+
+    /// `robot`'s record, `None` while it has none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `robot` has no slot.
+    #[inline]
+    pub(crate) fn get(&self, robot: RobotId) -> Option<&T> {
+        // `ASLEEP` is past every stored index, so one bounds check answers
+        // both "asleep" and "stored".
+        self.records.get(self.slot_of[robot.index()] as usize)
+    }
+
+    /// Mutable [`ActivationOrder::get`].
+    #[inline]
+    pub(crate) fn get_mut(&mut self, robot: RobotId) -> Option<&mut T> {
+        self.records.get_mut(self.slot_of[robot.index()] as usize)
+    }
+
+    /// `robot`'s record, storing `fresh` as its record first if it has
+    /// none.
+    #[inline]
+    pub(crate) fn get_or_insert(&mut self, robot: RobotId, fresh: T) -> &mut T {
+        let i = robot.index();
+        let slot = match self.slot_of[i] {
+            Self::ASLEEP => {
+                let slot = u32::try_from(self.records.len())
+                    .ok()
+                    .filter(|&s| s != Self::ASLEEP)
+                    .expect("more records than a u32 slot map can address");
+                self.records.push(fresh);
+                self.slot_of[i] = slot;
+                slot
+            }
+            slot => slot,
+        };
+        &mut self.records[slot as usize]
+    }
+
+    /// The stored records in robot-index order.
+    pub(crate) fn by_index(&self) -> impl Iterator<Item = &T> {
+        self.slot_of
+            .iter()
+            .filter_map(|&s| self.records.get(s as usize))
+    }
+
+    /// The robots with a record, in storage order: the slot map inverted.
+    pub(crate) fn storage_order(&self) -> Vec<RobotId> {
+        let mut order = vec![RobotId::SOURCE; self.records.len()];
+        for (i, &s) in self.slot_of.iter().enumerate() {
+            if let Some(r) = order.get_mut(s as usize) {
+                *r = RobotId::from_index(i);
+            }
+        }
+        order
+    }
+
+    /// Bytes [`Recorder::memory_bytes`] charges for the slot map, one
+    /// `u32` per robot slot; records are charged by their owners.
+    pub(crate) fn slot_map_bytes(&self) -> usize {
+        self.slot_of.len() * std::mem::size_of::<u32>()
+    }
+}
+
 /// Latest clock over the active robots, folded in index order exactly
 /// like `Schedule::completion_time`.
 pub(crate) fn completion_time<'a>(states: impl Iterator<Item = &'a RobotState>) -> f64 {
@@ -393,14 +511,14 @@ pub(crate) fn total_energy<'a>(states: impl Iterator<Item = &'a RobotState>) -> 
         .fold(0.0, |a, b| a + b)
 }
 
-/// The constant-memory implementation: one `RobotState` per robot (wake
-/// time, current time, current position, accumulated travel) plus the
-/// wake log. No segments — trajectories cannot be replayed or validated,
-/// but every aggregate statistic matches [`FullRecorder`] bit-for-bit.
+/// The constant-memory implementation: one `RobotState` per woken robot
+/// (wake time, current time, current position, accumulated travel), stored
+/// in activation order, plus the wake log. No segments — trajectories
+/// cannot be replayed or validated, but every aggregate statistic matches
+/// [`FullRecorder`] bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct StatsRecorder {
-    /// Indexed by `RobotId::index()`.
-    robots: Vec<RobotState>,
+    robots: ActivationOrder<RobotState>,
     wakes: Vec<WakeEvent>,
     active: usize,
 }
@@ -418,15 +536,14 @@ impl StatsRecorder {
     /// [`memory_bytes`](Recorder::memory_bytes), which counts lengths, not
     /// capacity).
     pub fn recycle(&mut self, n: usize) {
-        self.robots.clear();
-        self.robots.resize(n + 1, RobotState::ASLEEP);
+        self.robots.reset(n + 1);
         self.wakes.clear();
         self.active = 0;
     }
 
     #[inline]
     fn active_state(&mut self, robot: RobotId) -> &mut RobotState {
-        let r = &mut self.robots[robot.index()];
+        let r = self.robots.get_mut(robot).expect(ASLEEP_PANIC);
         r.check_active();
         r
     }
@@ -435,27 +552,29 @@ impl StatsRecorder {
 impl Recorder for StatsRecorder {
     fn with_capacity(n: usize) -> Self {
         StatsRecorder {
-            robots: vec![RobotState::ASLEEP; n + 1],
+            robots: ActivationOrder::new(n + 1),
             wakes: Vec::new(),
             active: 0,
         }
     }
 
     fn activate(&mut self, robot: RobotId, time: f64, pos: Point) {
-        self.robots[robot.index()].activate(robot, time, pos);
+        self.robots
+            .get_or_insert(robot, RobotState::ASLEEP)
+            .activate(robot, time, pos);
         self.active += 1;
     }
 
     fn is_active(&self, robot: RobotId) -> bool {
-        self.robots[robot.index()].is_active()
+        self.robots.get(robot).is_some_and(RobotState::is_active)
     }
 
     fn current_time(&self, robot: RobotId) -> Option<f64> {
-        self.robots[robot.index()].current_time()
+        self.robots.get(robot).and_then(RobotState::current_time)
     }
 
     fn current_pos(&self, robot: RobotId) -> Option<Point> {
-        self.robots[robot.index()].current_pos()
+        self.robots.get(robot).and_then(RobotState::current_pos)
     }
 
     fn move_to(&mut self, robot: RobotId, dest: Point) -> f64 {
@@ -481,11 +600,11 @@ impl Recorder for StatsRecorder {
     }
 
     fn wake_time(&self, robot: RobotId) -> Option<f64> {
-        self.robots[robot.index()].wake_time()
+        self.robots.get(robot).and_then(RobotState::wake_time)
     }
 
     fn travel(&self, robot: RobotId) -> Option<f64> {
-        self.robots[robot.index()].travel()
+        self.robots.get(robot).and_then(RobotState::travel)
     }
 
     fn active_count(&self) -> usize {
@@ -493,19 +612,21 @@ impl Recorder for StatsRecorder {
     }
 
     fn completion_time(&self) -> f64 {
-        completion_time(self.robots.iter())
+        completion_time(self.robots.by_index())
     }
 
     fn max_energy(&self) -> f64 {
-        max_energy(self.robots.iter())
+        max_energy(self.robots.by_index())
     }
 
     fn total_energy(&self) -> f64 {
-        total_energy(self.robots.iter())
+        total_energy(self.robots.by_index())
     }
 
     fn memory_bytes(&self) -> usize {
-        self.robots.len() * RobotState::BYTES + self.wakes.len() * std::mem::size_of::<WakeEvent>()
+        self.robots.slot_map_bytes()
+            + self.robots.records().len() * RobotState::BYTES
+            + self.wakes.len() * std::mem::size_of::<WakeEvent>()
     }
 }
 
@@ -580,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "activated twice")]
     fn stats_double_activation_panics() {
         let mut rec = StatsRecorder::with_capacity(1);
         rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
@@ -588,9 +709,105 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "robot has no timeline (asleep)")]
     fn stats_moving_sleeping_robot_panics() {
         let mut rec = StatsRecorder::with_capacity(1);
         rec.move_to(RobotId::sleeper(0), Point::ORIGIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "robot has no timeline (asleep)")]
+    fn stats_waiting_sleeping_robot_panics() {
+        let mut rec = StatsRecorder::with_capacity(2);
+        rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+        rec.wait_until(RobotId::sleeper(1), 1.0);
+    }
+
+    #[test]
+    fn stats_asleep_robots_answer_nothing_and_hold_no_record() {
+        let mut rec = StatsRecorder::with_capacity(3);
+        let empty = rec.memory_bytes();
+        assert_eq!(empty, 4 * 4, "a fresh recorder holds only its slot map");
+        rec.activate(RobotId::sleeper(2), 1.0, Point::new(1.0, 1.0));
+        rec.reserve_moves(RobotId::sleeper(0), 1000);
+        assert_eq!(rec.memory_bytes(), empty + RobotState::BYTES);
+        for r in [RobotId::SOURCE, RobotId::sleeper(0), RobotId::sleeper(1)] {
+            assert!(!rec.is_active(r));
+            assert_eq!(rec.current_time(r), None);
+            assert_eq!(rec.current_pos(r), None);
+            assert_eq!(rec.wake_time(r), None);
+            assert_eq!(rec.travel(r), None);
+        }
+        assert_eq!(rec.active_count(), 1);
+    }
+
+    #[test]
+    fn stats_recycled_recorder_equals_a_fresh_one() {
+        let second_job = |rec: &mut StatsRecorder| {
+            rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+            rec.move_to(RobotId::SOURCE, Point::new(0.5, 0.0));
+            rec.record_wake(WakeEvent {
+                waker: RobotId::SOURCE,
+                target: RobotId::sleeper(1),
+                time: 0.5,
+                pos: Point::new(0.5, 0.0),
+            });
+            rec.activate(RobotId::sleeper(1), 0.5, Point::new(0.5, 0.0));
+            rec.move_to(RobotId::sleeper(1), Point::new(0.5, 2.0));
+        };
+        // A larger first job, woken in another order, leaves records,
+        // wakes and a longer slot map behind.
+        let mut recycled = StatsRecorder::with_capacity(2);
+        drive(&mut recycled);
+        recycled.activate(RobotId::sleeper(1), 9.0, Point::new(9.0, 9.0));
+        recycled.recycle(3);
+        second_job(&mut recycled);
+        let mut fresh = StatsRecorder::with_capacity(3);
+        second_job(&mut fresh);
+
+        assert_eq!(recycled.memory_bytes(), fresh.memory_bytes());
+        assert_eq!(recycled.wakes(), fresh.wakes());
+        assert_eq!(recycled.active_count(), fresh.active_count());
+        assert_eq!(recycled.makespan().to_bits(), fresh.makespan().to_bits());
+        assert_eq!(
+            recycled.completion_time().to_bits(),
+            fresh.completion_time().to_bits()
+        );
+        assert_eq!(
+            recycled.max_energy().to_bits(),
+            fresh.max_energy().to_bits()
+        );
+        assert_eq!(
+            recycled.total_energy().to_bits(),
+            fresh.total_energy().to_bits()
+        );
+        for i in 0..=3 {
+            let r = RobotId::from_index(i);
+            assert_eq!(recycled.is_active(r), fresh.is_active(r), "{r}");
+            assert_eq!(recycled.wake_time(r), fresh.wake_time(r), "{r}");
+            assert_eq!(recycled.current_time(r), fresh.current_time(r), "{r}");
+            assert_eq!(recycled.current_pos(r), fresh.current_pos(r), "{r}");
+            assert_eq!(recycled.travel(r), fresh.travel(r), "{r}");
+        }
+    }
+
+    #[test]
+    fn activation_order_store_keeps_records_in_activation_order() {
+        let mut store: ActivationOrder<u32> = ActivationOrder::new(4);
+        for (i, r) in [3, 0, 2].into_iter().enumerate() {
+            *store.get_or_insert(RobotId::from_index(r), 0) = 10 + i as u32;
+        }
+        assert_eq!(store.records(), &[10, 11, 12]);
+        assert_eq!(store.by_index().copied().collect::<Vec<_>>(), [11, 12, 10]);
+        let order: Vec<usize> = store.storage_order().iter().map(|r| r.index()).collect();
+        assert_eq!(order, [3, 0, 2]);
+        assert_eq!(store.get(RobotId::from_index(1)), None);
+        assert_eq!(store.get(RobotId::from_index(2)), Some(&12));
+        // A stored robot keeps its slot.
+        *store.get_or_insert(RobotId::from_index(0), 99) += 1;
+        assert_eq!(store.records(), &[10, 12, 12]);
+        assert_eq!(store.slot_map_bytes(), 16);
+        store.reset(2);
+        assert_eq!((store.slots(), store.records().len()), (2, 0));
     }
 }

@@ -5,7 +5,6 @@ use crate::{
 };
 use freezetag_geometry::Point;
 use std::iter::Copied;
-use std::ops::Range;
 use std::slice;
 
 /// Tolerances and requirements for schedule validation.
@@ -90,6 +89,14 @@ pub trait RecordedRun: Sync {
 
     /// Number of recorded wake events.
     fn wake_count(&self) -> usize;
+
+    /// The robots whose records the store keeps, in the order it keeps
+    /// them, when that is not robot-index order — the order in which the
+    /// per-timeline pass reads the store front to back. `None`, the
+    /// default, means robot-index order.
+    fn storage_order(&self) -> Option<Vec<RobotId>> {
+        None
+    }
 }
 
 impl RecordedRun for Schedule {
@@ -175,6 +182,10 @@ impl RecordedRun for CompressedRecorder {
     fn wake_count(&self) -> usize {
         Recorder::wake_count(self)
     }
+
+    fn storage_order(&self) -> Option<Vec<RobotId>> {
+        Some(CompressedRecorder::storage_order(self))
+    }
 }
 
 /// Independently re-checks a finished run against the model of
@@ -228,6 +239,10 @@ const TIMELINE_BATCH: usize = 2048;
 /// decoding at a snapshot instead of skip-decoding into one.
 const WAKE_BATCH: usize = 8 * WAKE_BLOCK_EVENTS;
 
+/// One active robot's kinematics, as the report's folds need it:
+/// `(robot, end time, travel)`.
+type Tally = (RobotId, f64, f64);
+
 /// One unit of [`validate_with_pool`]'s work.
 #[derive(Debug, Clone, Copy)]
 enum Task {
@@ -245,20 +260,23 @@ enum Done {
     /// The first failing event with its error, and which sleepers were
     /// woken (complete only when no event failed).
     Targets(Option<(usize, SimError)>, Vec<bool>),
-    /// Per active robot in index order: `(robot, end time, travel)`; or
-    /// the batch's first error in index order.
-    Timelines(Result<Vec<(RobotId, f64, f64)>, SimError>),
+    /// A tally per passing active robot of the batch, and the batch's
+    /// lowest-index failing robot with its error.
+    Timelines(Vec<Tally>, Option<(RobotId, SimError)>),
     /// The batch's first failing event with its error.
     Wakes(Option<(usize, SimError)>),
 }
 
 /// [`validate`] with its per-timeline kinematics and per-event wake checks
 /// spread over `pool` — the one check sequence, cut into independent
-/// tasks: timelines in batches of robot indices, the wake log at its
+/// tasks: timelines in batches of the store's
+/// [`storage_order`](RecordedRun::storage_order), the wake log at its
 /// snapshot blocks, and the order-dependent duplicate-wake pass as one
-/// sequential task. Results merge in index order, and the report's folds
-/// run sequentially over the merged per-robot values, so the report and
-/// the *first* error are bit-identical to [`validate`]'s at any pool width.
+/// sequential task. The lowest-index timeline error wins, per-robot
+/// results merge back into robot-index order, and the report's folds run
+/// sequentially over them, so the report and the *first* error are
+/// bit-identical to [`validate`]'s at any pool width and in either storage
+/// order.
 ///
 /// # Errors
 ///
@@ -290,9 +308,11 @@ pub fn validate_with_pool<R: RecordedRun>(
     }
 
     // --- the independent passes ------------------------------------------
-    let slots = run.robot_slots();
+    let order = run.storage_order();
+    let timelines = order.as_ref().map_or(run.robot_slots(), Vec::len);
+    let robot_at = |k: usize| order.as_ref().map_or(RobotId::from_index(k), |o| o[k]);
     let mut tasks = vec![Task::Targets];
-    tasks.extend((0..slots).step_by(TIMELINE_BATCH).map(Task::Timelines));
+    tasks.extend((0..timelines).step_by(TIMELINE_BATCH).map(Task::Timelines));
     tasks.extend((0..run.wake_count()).step_by(WAKE_BATCH).map(Task::Wakes));
     let done = pool.map_batches(&tasks, 1, |_, task| match task[0] {
         Task::Targets => {
@@ -300,22 +320,27 @@ pub fn validate_with_pool<R: RecordedRun>(
             Done::Targets(first, woken)
         }
         Task::Timelines(from) => {
-            let to = (from + TIMELINE_BATCH).min(slots);
-            Done::Timelines(check_timelines(run, from..to, initial_positions, tol))
+            let robots = (from..(from + TIMELINE_BATCH).min(timelines)).map(robot_at);
+            let (tallies, first) = check_timelines(run, robots, initial_positions, tol);
+            Done::Timelines(tallies, first)
         }
         Task::Wakes(from) => Done::Wakes(check_wakes(run, from, initial_positions, tol)),
     });
 
     // --- merge, in the sequential check order ----------------------------
-    // Timelines first (index order), then the wake log (event order),
-    // where the sequential target pass wins ties: at one event, its
-    // checks precede the per-event ones.
-    let mut tallies: Vec<(RobotId, f64, f64)> = Vec::with_capacity(run.active_count());
+    // Timelines first (lowest robot index), then the wake log (event
+    // order), where the sequential target pass wins ties: at one event,
+    // its checks precede the per-event ones.
+    let mut tallies: Vec<Tally> = Vec::with_capacity(run.active_count());
+    let mut timeline_error: Option<(RobotId, SimError)> = None;
     let mut targets = None;
     let mut wake_error: Option<(usize, SimError)> = None;
     for d in done {
         match d {
-            Done::Timelines(batch) => tallies.extend(batch?),
+            Done::Timelines(batch, first) => {
+                tallies.extend(batch);
+                timeline_error = earliest(timeline_error, first);
+            }
             Done::Targets(first, woken) => {
                 wake_error = earliest(wake_error, first);
                 targets = Some(woken);
@@ -323,8 +348,15 @@ pub fn validate_with_pool<R: RecordedRun>(
             Done::Wakes(first) => wake_error = earliest(wake_error, first),
         }
     }
+    if let Some((_, e)) = timeline_error {
+        return Err(e);
+    }
     if let Some((_, e)) = wake_error {
         return Err(e);
+    }
+    if order.is_some() {
+        // Back to robot-index order for the energy check and the folds.
+        tallies.sort_unstable_by_key(|&(robot, ..)| robot);
     }
     // Every non-source timeline must correspond to a wake event.
     let woken = targets.expect("the target pass always runs");
@@ -378,12 +410,9 @@ pub fn validate_with_pool<R: RecordedRun>(
     })
 }
 
-/// Of two `(event index, error)` candidates, the one at the earlier event;
-/// `a` on a tie.
-fn earliest(
-    a: Option<(usize, SimError)>,
-    b: Option<(usize, SimError)>,
-) -> Option<(usize, SimError)> {
+/// Of two `(position, error)` candidates — an event index or a robot —
+/// the one at the earlier position; `a` on a tie.
+fn earliest<K: Ord>(a: Option<(K, SimError)>, b: Option<(K, SimError)>) -> Option<(K, SimError)> {
     match (a, b) {
         (Some(a), Some(b)) => Some(if b.0 < a.0 { b } else { a }),
         (a, b) => a.or(b),
@@ -397,73 +426,87 @@ fn wake_time<R: RecordedRun>(run: &R, robot: RobotId) -> Option<f64> {
         .flatten()
 }
 
-/// Kinematics of the robot slots in `range`: one fused pass per timeline,
-/// in robot-index order, whose replay checks share their segment loads
-/// (and single per-segment `dist`) with the travel accumulation the report
-/// needs. Returns `(robot, end time, travel)` per active robot, or the
-/// first error in index order.
+/// Kinematics of `robots`, in the order given. Returns a tally per active
+/// robot that passes, and the lowest-index failing robot with its error.
 fn check_timelines<R: RecordedRun>(
     run: &R,
-    range: Range<usize>,
+    robots: impl Iterator<Item = RobotId>,
     initial_positions: &[Point],
     tol: f64,
-) -> Result<Vec<(RobotId, f64, f64)>, SimError> {
+) -> (Vec<Tally>, Option<(RobotId, SimError)>) {
     let mut out = Vec::new();
-    for idx in range {
-        let robot = RobotId::from_index(idx);
-        let Some(start) = run.wake_time(robot) else {
-            continue;
-        };
-        let mut t = start;
-        let mut pos = run.start_pos(robot).expect("active robot has a start");
-        if let Some(i) = robot.sleeper_index() {
-            let Some(&expect) = initial_positions.get(i) else {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {robot} has a timeline but no initial position"
-                )));
-            };
-            if pos.dist(expect) > tol {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {robot} starts at {pos} instead of its initial position {expect}"
-                )));
-            }
+    let mut first = None;
+    for robot in robots {
+        match check_timeline(run, robot, initial_positions, tol) {
+            Ok(Some((end, travel))) => out.push((robot, end, travel)),
+            Ok(None) => {}
+            Err(e) => first = earliest(first, Some((robot, e))),
         }
-        let mut travel = 0.0f64;
-        for (k, s) in run.segments(robot).enumerate() {
-            if (s.start_time - t).abs() > tol {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {robot} segment {k} starts at {} expected {t}",
-                    s.start_time
-                )));
-            }
-            // Bit-equal endpoints (the recorder's normal output) skip the
-            // continuity distance entirely; the comparison outcome is the
-            // same either way since equal points are at distance 0.
-            if (s.from.x != pos.x || s.from.y != pos.y) && s.from.dist(pos) > tol {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {robot} segment {k} teleports from {pos} to {}",
-                    s.from
-                )));
-            }
-            if s.end_time < s.start_time - tol {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {robot} segment {k} goes back in time"
-                )));
-            }
-            let length = s.length();
-            if length > s.duration() + tol {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {robot} segment {k} exceeds unit speed: length {length} in {}",
-                    s.duration()
-                )));
-            }
-            travel += length;
-            t = s.end_time;
-            pos = s.to;
-        }
-        out.push((robot, t, travel));
     }
-    Ok(out)
+    (out, first)
+}
+
+/// Kinematics of one timeline in one fused pass, whose replay checks share
+/// their segment loads (and single per-segment `dist`) with the travel
+/// accumulation the report needs. Returns `(end time, travel)`, `None` for
+/// an asleep robot, or the timeline's first error.
+fn check_timeline<R: RecordedRun>(
+    run: &R,
+    robot: RobotId,
+    initial_positions: &[Point],
+    tol: f64,
+) -> Result<Option<(f64, f64)>, SimError> {
+    let Some(start) = run.wake_time(robot) else {
+        return Ok(None);
+    };
+    let mut t = start;
+    let mut pos = run.start_pos(robot).expect("active robot has a start");
+    if let Some(i) = robot.sleeper_index() {
+        let Some(&expect) = initial_positions.get(i) else {
+            return Err(SimError::InvalidTimeline(format!(
+                "robot {robot} has a timeline but no initial position"
+            )));
+        };
+        if pos.dist(expect) > tol {
+            return Err(SimError::InvalidTimeline(format!(
+                "robot {robot} starts at {pos} instead of its initial position {expect}"
+            )));
+        }
+    }
+    let mut travel = 0.0f64;
+    for (k, s) in run.segments(robot).enumerate() {
+        if (s.start_time - t).abs() > tol {
+            return Err(SimError::InvalidTimeline(format!(
+                "robot {robot} segment {k} starts at {} expected {t}",
+                s.start_time
+            )));
+        }
+        // Bit-equal endpoints (the recorder's normal output) skip the
+        // continuity distance entirely; the comparison outcome is the same
+        // either way since equal points are at distance 0.
+        if (s.from.x != pos.x || s.from.y != pos.y) && s.from.dist(pos) > tol {
+            return Err(SimError::InvalidTimeline(format!(
+                "robot {robot} segment {k} teleports from {pos} to {}",
+                s.from
+            )));
+        }
+        if s.end_time < s.start_time - tol {
+            return Err(SimError::InvalidTimeline(format!(
+                "robot {robot} segment {k} goes back in time"
+            )));
+        }
+        let length = s.length();
+        if length > s.duration() + tol {
+            return Err(SimError::InvalidTimeline(format!(
+                "robot {robot} segment {k} exceeds unit speed: length {length} in {}",
+                s.duration()
+            )));
+        }
+        travel += length;
+        t = s.end_time;
+        pos = s.to;
+    }
+    Ok(Some((t, travel)))
 }
 
 /// The order-dependent half of the wake checks, over the whole log: every

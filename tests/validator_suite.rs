@@ -442,3 +442,63 @@ fn long_runs_report_the_first_fault_across_batches() {
         assert!(msg.contains("initial position"), "{msg}");
     }
 }
+
+/// Robots woken in reverse index order: the compressed store keeps the
+/// higher-index robot's track first, in an earlier pool task. Sleeper `i`
+/// then steps `2i + 0.1` aside, so travels differ robot by robot. Timeline
+/// faults and energy overruns on several robots still report the
+/// lowest-index one, and the report's energy sum still runs in index
+/// order — on both stores, at every pool width.
+#[test]
+fn the_lowest_index_fault_wins_in_any_storage_order() {
+    let inst = long_instance();
+    let reverse_run = |rec: &mut dyn Recorder| {
+        rec.activate(RobotId::SOURCE, 0.0, Point::ORIGIN);
+        for (i, &p) in inst.positions().iter().enumerate().rev() {
+            rec.move_to(RobotId::SOURCE, p);
+            wake(rec, RobotId::SOURCE, RobotId::sleeper(i));
+            let aside = Point::new(p.x, p.y + 2.0 * i as f64 + 0.1);
+            rec.move_to(RobotId::sleeper(i), aside);
+        }
+    };
+    let opts = ValidationOptions::default();
+    let [flat, compressed] = validate_both(LONG, &inst, &opts, &reverse_run);
+    assert_eq!(
+        bits(&flat.expect("valid")),
+        bits(&compressed.expect("valid"))
+    );
+
+    // Robot 100 is stored 100th from the end, robot LONG - 100 100th from
+    // the front: different timeline tasks in either order.
+    let (lo, hi) = (100, LONG - 100);
+    let shifted = |faulty: &[usize]| {
+        let mut positions = inst.positions().to_vec();
+        for &i in faulty {
+            positions[i].x += 1.0;
+        }
+        Instance::new(positions)
+    };
+    for (faulty, reported) in [(&[lo, hi][..], lo), (&[hi][..], hi)] {
+        let results = validate_both(LONG, &shifted(faulty), &opts, &reverse_run);
+        for err in results.map(|r| r.expect_err("faulty")) {
+            let SimError::InvalidTimeline(msg) = &err else {
+                panic!("{err}");
+            };
+            let want = format!("robot {} starts at", RobotId::sleeper(reported));
+            assert!(msg.starts_with(&want), "{msg}");
+        }
+    }
+
+    // Every sleeper from 3500 on travels past a 7000 budget (the source
+    // travels ~5000); the last of them is stored first.
+    let budget = ValidationOptions {
+        energy_budget: Some(7000.0),
+        ..opts
+    };
+    for err in validate_both(LONG, &inst, &budget, &reverse_run) {
+        match err.expect_err("over budget") {
+            SimError::EnergyExceeded { robot, .. } => assert_eq!(robot, RobotId::sleeper(3500)),
+            other => panic!("{other}"),
+        }
+    }
+}
