@@ -1,8 +1,9 @@
 //! The shared team memory, stored struct-of-arrays with a spatial index.
 //!
-//! The paper's teams exchange variables when co-located; the algorithms in
-//! this crate merge `Knowledge` values exactly at those rendezvous.
-//! Soundness property: `Knowledge` only ever contains robots that some
+//! The paper's teams exchange variables when co-located; the drivers in
+//! this crate model that with one store shared by all teams, every read
+//! filtered by the reading team's owned region (the `separator` driver
+//! notes). Soundness property: `Knowledge` only ever contains robots that some
 //! `look` has returned or that the algorithm woke itself — never
 //! undiscovered positions.
 //!
@@ -293,21 +294,6 @@ impl Knowledge {
         });
     }
 
-    /// Merges another team's knowledge: unknown robots are adopted with
-    /// their origin, already-known robots keep theirs, and awake status is
-    /// sticky.
-    pub fn merge(&mut self, other: &Knowledge) {
-        for (id, info) in other.iter() {
-            let i = self.slot(id);
-            if !self.known(i) {
-                self.insert(i, info.origin);
-            }
-            if info.awake {
-                self.awake_at[i] = self.epoch;
-            }
-        }
-    }
-
     /// Number of known robots.
     pub fn len(&self) -> usize {
         self.len
@@ -343,23 +329,6 @@ mod tests {
         assert_eq!(near, vec![(RobotId::sleeper(0), Point::new(1.0, 0.0))]);
         let known: Vec<_> = k.known_where(|p| p.x < 5.0).collect();
         assert_eq!(known.len(), 2);
-    }
-
-    #[test]
-    fn merge_is_sticky_on_awake() {
-        let mut a = Knowledge::new();
-        a.note_sighting(RobotId::sleeper(0), Point::new(1.0, 0.0));
-        let mut b = Knowledge::new();
-        b.note_awake(RobotId::sleeper(0), Point::new(1.0, 0.0));
-        b.note_sighting(RobotId::sleeper(1), Point::new(2.0, 0.0));
-        a.merge(&b);
-        assert!(a.is_awake(RobotId::sleeper(0)));
-        assert_eq!(a.len(), 2);
-        // Merging the stale view back does not un-wake.
-        let mut stale = Knowledge::new();
-        stale.note_sighting(RobotId::sleeper(0), Point::new(1.0, 0.0));
-        a.merge(&stale);
-        assert!(a.is_awake(RobotId::sleeper(0)));
     }
 
     #[test]

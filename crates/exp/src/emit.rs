@@ -23,7 +23,7 @@ fn num(x: f64) -> String {
 }
 
 /// Escapes a string for inclusion in JSON.
-fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -152,7 +152,7 @@ impl PlanEntry {
     fn status_json(&self) -> String {
         let st = self.state.lock().expect("plan state poisoned");
         let error = match &st.error {
-            Some(e) => format!("{:?}", e),
+            Some(e) => format!("\"{}\"", emit::escape(e)),
             None => "null".to_string(),
         };
         format!(
@@ -606,7 +606,7 @@ fn write_error(stream: &mut TcpStream, status: u16, reason: &str, message: &str)
         stream,
         status,
         reason,
-        &format!("{{\"error\":{:?}}}", message),
+        &format!("{{\"error\":\"{}\"}}", emit::escape(message)),
     )
 }
 

@@ -58,14 +58,6 @@ impl Disk {
         self.bounding_square().to_rect()
     }
 
-    /// The largest axis-parallel square inscribed in the disk (width
-    /// `r·√2`). A unit-vision snapshot at the disk center certifies exactly
-    /// this square, which is why sweep rows are spaced `√2` apart
-    /// (proof of Lemma 1).
-    pub fn inscribed_square(&self) -> Square {
-        Square::new(self.center, self.radius * std::f64::consts::SQRT_2)
-    }
-
     /// Whether two disks intersect (closed sets).
     pub fn intersects(&self, other: &Disk) -> bool {
         self.center.dist(other.center) <= self.radius + other.radius + crate::EPS
@@ -91,15 +83,11 @@ mod tests {
     }
 
     #[test]
-    fn bounding_and_inscribed_squares_nest() {
+    fn bounding_square_is_the_diameter_wide() {
         let d = Disk::new(Point::new(5.0, 5.0), 3.0);
         let outer = d.bounding_square();
-        let inner = d.inscribed_square();
         assert_eq!(outer.width(), 6.0);
-        assert!((inner.width() - 3.0 * std::f64::consts::SQRT_2).abs() < 1e-12);
-        // Inner square's corners lie on the disk boundary.
-        let corner = inner.min_corner();
-        assert!((corner.dist(d.center()) - 3.0).abs() < 1e-9);
+        assert_eq!(outer.center(), d.center());
     }
 
     #[test]

@@ -52,12 +52,6 @@ impl Point {
         (self - other).norm_sq()
     }
 
-    /// L1 (Manhattan) distance to `other`; used when bounding seed tours
-    /// along square borders (Lemma 5).
-    pub fn dist_l1(self, other: Point) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
     /// Chebyshev (L∞) distance to `other`; `p.dist_linf(c) <= w/2` is the
     /// containment test for the square of center `c` and width `w`.
     pub fn dist_linf(self, other: Point) -> f64 {
@@ -72,23 +66,6 @@ impl Point {
     /// Linear interpolation: returns `self` at `t = 0` and `other` at `t = 1`.
     pub fn lerp(self, other: Point, t: f64) -> Point {
         self + (other - self) * t
-    }
-
-    /// Dot product of `self` and `other` viewed as vectors.
-    pub fn dot(self, other: Point) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
-    /// Returns the unit vector pointing from `self` towards `target`, or
-    /// `None` when the two points are (numerically) identical.
-    pub fn direction_to(self, target: Point) -> Option<Point> {
-        let d = target - self;
-        let n = d.norm();
-        if n <= crate::EPS {
-            None
-        } else {
-            Some(d / n)
-        }
     }
 
     /// Whether `self` and `other` are within the workspace co-location
@@ -165,7 +142,6 @@ mod tests {
         let p = Point::new(3.0, 4.0);
         assert_eq!(p.dist(Point::ORIGIN), 5.0);
         assert_eq!(p.dist_sq(Point::ORIGIN), 25.0);
-        assert_eq!(p.dist_l1(Point::ORIGIN), 7.0);
         assert_eq!(p.dist_linf(Point::ORIGIN), 4.0);
     }
 
@@ -187,14 +163,6 @@ mod tests {
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.5), a.midpoint(b));
-    }
-
-    #[test]
-    fn direction_to_is_unit_or_none() {
-        let a = Point::new(1.0, 1.0);
-        let d = a.direction_to(Point::new(4.0, 5.0)).unwrap();
-        assert!((d.norm() - 1.0).abs() < 1e-12);
-        assert!(a.direction_to(a).is_none());
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl Square {
         Square { center, width }
     }
 
-    /// The square of a given min (lower-left) corner and width.
-    pub fn from_min_corner(min: Point, width: f64) -> Self {
-        Square::new(min + Point::new(width / 2.0, width / 2.0), width)
-    }
-
     /// Center of the square.
     pub fn center(&self) -> Point {
         self.center
@@ -71,14 +66,6 @@ impl Square {
     /// Closed containment test with `EPS` slack.
     pub fn contains(&self, p: Point) -> bool {
         p.dist_linf(self.center) <= self.half_width() + crate::EPS
-    }
-
-    /// Radius of the smallest disk containing the square: `w/√2`.
-    ///
-    /// Lemma 2 wakes a square of width `R` through the disk of radius
-    /// `R/√2` around its center.
-    pub fn circumradius(&self) -> f64 {
-        self.half_width() * std::f64::consts::SQRT_2
     }
 
     /// The four quadrant sub-squares of half width, in the order
@@ -146,30 +133,6 @@ impl Square {
             3.0 * w + (b.y - min.y)
         }
     }
-
-    /// Nearest point on the border of the square to `p`.
-    pub fn project_to_border(&self, p: Point) -> Point {
-        let r = self.to_rect();
-        let c = r.clamp(p);
-        if !r.contains_interior(c) {
-            return c;
-        }
-        let (min, max) = (r.min(), r.max());
-        let d_left = c.x - min.x;
-        let d_right = max.x - c.x;
-        let d_bottom = c.y - min.y;
-        let d_top = max.y - c.y;
-        let m = d_left.min(d_right).min(d_bottom).min(d_top);
-        if m == d_top {
-            Point::new(c.x, max.y)
-        } else if m == d_right {
-            Point::new(max.x, c.y)
-        } else if m == d_bottom {
-            Point::new(c.x, min.y)
-        } else {
-            Point::new(min.x, c.y)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,8 +147,6 @@ mod tests {
         let r = s.to_rect();
         assert_eq!(r.center(), s.center());
         assert_eq!(r.width(), s.width());
-        let s2 = Square::from_min_corner(Point::new(-1.0, -1.0), 4.0);
-        assert_eq!(s2, s);
     }
 
     #[test]
@@ -206,13 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn circumradius_contains_corners() {
-        let s = Square::new(Point::new(2.0, -3.0), 6.0);
-        let r = s.circumradius();
-        assert!((s.center().dist(s.min_corner()) - r).abs() < 1e-12);
-    }
-
-    #[test]
     fn border_parameter_orders_clockwise() {
         let s = Square::new(Point::ORIGIN, 2.0);
         // Walk clockwise: top-left start.
@@ -224,21 +178,6 @@ mod tests {
         assert!(left < 8.0); // perimeter of width-2 square
     }
 
-    #[test]
-    fn border_projection_is_on_border() {
-        let s = Square::new(Point::ORIGIN, 4.0);
-        for p in [
-            Point::new(0.5, 0.1),
-            Point::new(10.0, 10.0),
-            Point::new(-1.9, 0.0),
-            Point::new(0.0, 1.99),
-        ] {
-            let b = s.project_to_border(p);
-            let on_border = (b.dist_linf(s.center()) - 2.0).abs() < 1e-9;
-            assert!(on_border, "projection {b} of {p} not on border");
-        }
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -247,7 +186,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// The border parameter is a bijection-ish walk: values lie in
-            /// [0, perimeter) and projections land on the border.
+            /// [0, perimeter].
             #[test]
             fn border_parameter_in_range(
                 cx in -10.0f64..10.0, cy in -10.0f64..10.0,
@@ -259,9 +198,6 @@ mod tests {
                 let t = s.border_parameter(p);
                 prop_assert!(t >= 0.0);
                 prop_assert!(t <= 4.0 * w + 1e-9);
-                let b = s.project_to_border(p);
-                prop_assert!((b.dist_linf(s.center()) - w / 2.0).abs() < 1e-6,
-                    "projection {b} off the border");
             }
 
             /// Quadrants tile the square: every interior point belongs to

@@ -163,33 +163,6 @@ impl CellGrid {
         }
     }
 
-    /// Calls `f(index, point)` for every point whose cell intersects the
-    /// axis-aligned box `[min, max]` inflated by `2 EPS`, in unspecified
-    /// order. Points themselves are **not** filtered against the box —
-    /// callers apply their exact region predicate (which this inflation
-    /// covers for any predicate with up to `EPS` slack, e.g.
-    /// `Rect::contains`). Prefer [`CellGrid::for_each_in_rect`] when the
-    /// predicate *is* closed rectangle containment — it runs the filter
-    /// through the membership kernel instead of per-point closure calls.
-    pub fn for_each_in_box(&self, min: Point, max: Point, mut f: impl FnMut(usize, Point)) {
-        let s = 2.0 * freezetag_geometry::EPS;
-        let lo = CellMap::key_of(min - Point::new(s, s), self.cell);
-        let hi = CellMap::key_of(max + Point::new(s, s), self.cell);
-        for i in lo.0..=hi.0 {
-            for j in lo.1..=hi.1 {
-                let Some(head) = self.heads.get((i, j)) else {
-                    continue;
-                };
-                let mut cur = head;
-                while cur != EMPTY {
-                    let idx = cur as usize;
-                    f(idx, Point::new(self.xs[idx], self.ys[idx]));
-                    cur = self.next[idx];
-                }
-            }
-        }
-    }
-
     /// Calls `f(index, point)` for every point `p` with `min.x - EPS <=
     /// p.x <= max.x + EPS` and likewise in `y` — exactly the acceptance of
     /// `Rect::contains` on the rectangle `[min, max]` — in **unspecified

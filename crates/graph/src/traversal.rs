@@ -55,22 +55,6 @@ impl ShortestPaths {
             })
         })
     }
-
-    /// The path from the source to `v` as a vertex list, or `None` when
-    /// unreachable.
-    pub fn path_to(&self, v: usize) -> Option<Vec<usize>> {
-        if !self.dist[v].is_finite() {
-            return None;
-        }
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 #[derive(PartialEq)]
@@ -117,7 +101,7 @@ impl PartialOrd for HeapEntry {
 /// );
 /// let sp = dijkstra(&g, 0);
 /// assert_eq!(sp.dist(2), 2.0);
-/// assert_eq!(sp.path_to(2), Some(vec![0, 1, 2]));
+/// assert_eq!(sp.parent(2), Some(1));
 /// ```
 pub fn dijkstra(graph: &DiskGraph, source: usize) -> ShortestPaths {
     let n = graph.len();
@@ -200,7 +184,7 @@ mod tests {
         }
         assert_eq!(sp.eccentricity(), Some(4.0));
         assert!(sp.all_reachable());
-        assert_eq!(sp.path_to(4).unwrap(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(sp.parent(4), Some(3));
         assert_eq!(sp.parent(0), None);
         assert_eq!(sp.source(), 0);
     }
@@ -214,7 +198,7 @@ mod tests {
         );
         let sp = dijkstra(&g, 0);
         assert!((sp.dist(2) - 1.4).abs() < 1e-12);
-        assert_eq!(sp.path_to(2).unwrap(), vec![0, 2]);
+        assert_eq!(sp.parent(2), Some(0));
     }
 
     #[test]
@@ -224,7 +208,7 @@ mod tests {
         assert!(sp.dist(1).is_infinite());
         assert!(!sp.all_reachable());
         assert_eq!(sp.eccentricity(), None);
-        assert_eq!(sp.path_to(1), None);
+        assert_eq!(sp.parent(1), None);
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl UnionFind {
     pub fn components(&self) -> usize {
         self.components
     }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r]
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +89,6 @@ mod tests {
         assert!(!uf.union(1, 0));
         assert!(uf.union(1, 2));
         assert_eq!(uf.components(), 3);
-        assert_eq!(uf.set_size(2), 3);
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 4));
     }
@@ -107,7 +100,6 @@ mod tests {
             uf.union(i, i + 1);
         }
         assert_eq!(uf.components(), 1);
-        assert_eq!(uf.set_size(0), 100);
         assert!(uf.connected(0, 99));
     }
 

@@ -30,14 +30,6 @@ impl AdversarialLayout {
     pub fn n(&self) -> usize {
         self.centers.len()
     }
-
-    /// Total disk area the algorithm must (in the worst case) observe:
-    /// `m · π · r²`; half of it lower-bounds the total movement because a
-    /// unit-vision robot uncovers new area at rate at most 2 per unit
-    /// distance (proof of Theorem 2).
-    pub fn total_disk_area(&self) -> f64 {
-        self.n() as f64 * std::f64::consts::PI * self.disk_radius * self.disk_radius
-    }
 }
 
 /// Builds the Theorem 2 layout for parameters `(ℓ, ρ, n)`.
@@ -194,6 +186,5 @@ mod tests {
         let l = theorem3_layout(8.0, 3);
         assert_eq!(l.n(), 3);
         assert_eq!(l.disk_radius, 8.0);
-        assert!((l.total_disk_area() - 3.0 * std::f64::consts::PI * 64.0).abs() < 1e-9);
     }
 }

@@ -23,16 +23,6 @@ pub struct Theorem6Params {
     pub xi: f64,
 }
 
-impl Theorem6Params {
-    /// Upper end of the valid ξ range for a given `n`:
-    /// `min(nℓ − ρ/3, ρ²/(2(B+1)) + 1)`.
-    pub fn xi_max(&self, n: usize) -> f64 {
-        let a = n as f64 * self.ell - self.rho / 3.0;
-        let b = self.rho * self.rho / (2.0 * (self.budget + 1.0)) + 1.0;
-        a.min(b)
-    }
-}
-
 /// The rectilinear path `Π` of the construction, truncated at arc-length ξ.
 ///
 /// Waypoints follow Section 9.3: `u_j = (0, j(B+1))`,
@@ -194,13 +184,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn xi_max_formula() {
-        let p = params(30.0);
-        let cap = p.xi_max(100);
-        assert!((cap - (20.0 * 20.0 / 10.0 + 1.0)).abs() < 1e-9);
     }
 
     #[test]

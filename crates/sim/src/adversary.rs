@@ -105,19 +105,6 @@ impl AdversarialWorld {
         }
     }
 
-    /// The static layout this adversary plays on.
-    pub fn layout(&self) -> &AdversarialLayout {
-        &self.layout
-    }
-
-    /// How many robots have been pinned (discovered) so far.
-    pub fn pinned_count(&self) -> usize {
-        self.disks
-            .iter()
-            .filter(|d| matches!(d, DiskState::Pinned { .. }))
-            .count()
-    }
-
     /// The final positions of all robots, or `None` if some robot was
     /// never discovered (its position is still ambiguous).
     pub fn final_positions(&self) -> Option<Vec<Point>> {
@@ -245,7 +232,7 @@ mod tests {
             let p = Point::new(k as f64, 0.0);
             assert!(w.look(p, k as f64).is_empty(), "seen too early at {p}");
         }
-        assert_eq!(w.pinned_count(), 0);
+        assert!(w.position(RobotId::sleeper(0)).is_none());
         assert!(w.final_positions().is_none());
     }
 
@@ -263,7 +250,6 @@ mod tests {
             seen.extend(w.look(p, k as f64));
         }
         assert_eq!(seen.len(), 1, "exactly one discovery event");
-        assert_eq!(w.pinned_count(), 1);
         let pos = w.position(RobotId::sleeper(0)).unwrap();
         assert!(pos.norm() <= 2.0 + 1e-9, "pinned inside the disk");
     }

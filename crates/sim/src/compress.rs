@@ -37,10 +37,10 @@
 //! tree woke — the group that moves together next — sit in one contiguous
 //! run of records.
 //!
-//! [`position_at`]: crate::record::ReplayRecorder::position_at
+//! [`position_at`]: CompressedRecorder::position_at
 //! [`Segment`]: crate::Segment
 
-use crate::record::{self, ActivationOrder, ReplayRecorder, RobotState, ASLEEP_PANIC};
+use crate::record::{self, ActivationOrder, RobotState, ASLEEP_PANIC};
 use crate::{Recorder, RobotId, Segment, WakeEvent};
 use freezetag_geometry::Point;
 use std::cmp::Ordering;
@@ -48,7 +48,7 @@ use std::cmp::Ordering;
 /// Segment events per compression block (per robot).
 ///
 /// 64 events × ~10 B ≈ 640 B per block against a 32 B header: ~5% header
-/// overhead, while a [`ReplayRecorder::position_at`] seek decodes at most
+/// overhead, while a [`CompressedRecorder::position_at`] seek decodes at most
 /// one block.
 pub const SEG_BLOCK_EVENTS: usize = 64;
 
@@ -369,7 +369,7 @@ impl Track {
 /// both other recorders (pinned by `recorder_parity`) — next to its
 /// segment count, event bytes and block headers. Trajectories decode
 /// through [`CompressedRecorder::segments`] /
-/// [`ReplayRecorder::position_at`], which is what the validator
+/// [`CompressedRecorder::position_at`], which is what the validator
 /// ([`validate`](crate::validate)) streams through.
 #[derive(Debug, Clone)]
 pub struct CompressedRecorder {
@@ -435,6 +435,41 @@ impl CompressedRecorder {
             Some(tr) => SegmentIter::from_block(tr, 0),
             None => SegmentIter::EMPTY,
         }
+    }
+
+    /// Position of `robot` at absolute time `t` (clamped before activation
+    /// / after the last event), `None` if the robot was never activated.
+    /// Decodes only the block containing `t`, and agrees bit-for-bit with
+    /// [`Timeline::position_at`](crate::Timeline::position_at) on the same
+    /// event sequence.
+    pub fn position_at(&self, robot: RobotId, t: f64) -> Option<Point> {
+        let tr = self.robots.get(robot)?;
+        let wake = tr.state.wake_time()?;
+        // Mirrors Timeline::position_at exactly, block by block.
+        if t <= wake || tr.count == 0 {
+            return Some(if tr.count == 0 {
+                tr.state.pos()
+            } else {
+                let b = tr.blocks[0];
+                Point::new(b.start_x, b.start_y)
+            });
+        }
+        // First block whose end time is >= t: since per-robot segment end
+        // times are nondecreasing and block_end(k) is the exact end time
+        // of block k's last segment, this lands on the block containing
+        // the segment Timeline's partition_point would select.
+        let k = partition_point(tr.blocks.len(), |k| tr.block_end(k) < t);
+        // Within the block the first segment ending at or after `t` is the
+        // partition point; decoding stops there instead of materialising
+        // the block.
+        Some(
+            match SegmentIter::from_block(tr, k)
+                .find(|s| s.end_time.partial_cmp(&t) != Some(Ordering::Less))
+            {
+                Some(s) => s.position_at(t),
+                None => tr.state.pos(),
+            },
+        )
     }
 
     /// Lazy wake-event decoder starting at event index `start`.
@@ -687,38 +722,6 @@ impl Recorder for CompressedRecorder {
         self.robots.slot_map_bytes()
             + self.robots.records().len() * Track::BYTES
             + self.compressed_bytes()
-    }
-}
-
-impl ReplayRecorder for CompressedRecorder {
-    fn position_at(&self, robot: RobotId, t: f64) -> Option<Point> {
-        let tr = self.robots.get(robot)?;
-        let wake = tr.state.wake_time()?;
-        // Mirrors Timeline::position_at exactly, block by block.
-        if t <= wake || tr.count == 0 {
-            return Some(if tr.count == 0 {
-                tr.state.pos()
-            } else {
-                let b = tr.blocks[0];
-                Point::new(b.start_x, b.start_y)
-            });
-        }
-        // First block whose end time is >= t: since per-robot segment end
-        // times are nondecreasing and block_end(k) is the exact end time
-        // of block k's last segment, this lands on the block containing
-        // the segment Timeline's partition_point would select.
-        let k = partition_point(tr.blocks.len(), |k| tr.block_end(k) < t);
-        // Within the block the first segment ending at or after `t` is the
-        // partition point; decoding stops there instead of materialising
-        // the block.
-        Some(
-            match SegmentIter::from_block(tr, k)
-                .find(|s| s.end_time.partial_cmp(&t) != Some(Ordering::Less))
-            {
-                Some(s) => s.position_at(t),
-                None => tr.state.pos(),
-            },
-        )
     }
 }
 

@@ -7,29 +7,19 @@
 //! is a state machine owned by a single robot, which only ever sees its
 //! own clock, its own position, its snapshots, and the identities of
 //! co-located robots — exactly the paper's Look-Compute-Move robot. The
-//! [`EventSim`] engine schedules all programs on one event queue and
-//! records through any replay-capable [`Recorder`] — the default
-//! [`FullRecorder`] yields the same [`Schedule`] the validator checks,
-//! while [`EventSim::with_compressed`] records block-compressed
-//! trajectories for the streaming validator; an attached
-//! [`ParPool`] ([`EventSim::with_pool`]) fans the per-step co-location
-//! scan out over cores deterministically.
+//! [`EventSim`] engine schedules all programs on one event queue, on one
+//! thread, and records through a [`FullRecorder`], so a run yields the
+//! same [`Schedule`] the validator checks.
 //!
 //! `freezetag-core` ships `AGrid` in both styles and the test-suite checks
 //! the two produce the same makespan — evidence that the orchestrated
 //! drivers emit schedules genuinely realizable by distributed robots.
 
-use crate::record::{FullRecorder, Recorder, ReplayRecorder};
-use crate::{CompressedRecorder, ParPool, RobotId, Schedule, Sighting, WakeEvent, WorldView};
+use crate::record::{FullRecorder, Recorder};
+use crate::{RobotId, Schedule, Sighting, WakeEvent, WorldView};
 use freezetag_geometry::Point;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Robot slots per co-location scan batch on the pooled path.
-const COLOC_BATCH: usize = 512;
-/// Minimum robot count before the co-location scan fans out over the
-/// pool — below this the spawn overhead exceeds the scan.
-const PAR_COLOC_MIN: usize = 1024;
 
 /// What a robot decides to do next (the "Move" of Look-Compute-Move;
 /// `Look` is the explicit snapshot action, as the paper's snapshots are
@@ -122,12 +112,10 @@ pub trait RobotProgram {
 /// assert!(sim.world().all_awake());
 /// assert_eq!(sim.schedule().makespan(), 2.0);
 /// ```
-pub struct EventSim<W, R = FullRecorder> {
+pub struct EventSim<W> {
     world: W,
-    recorder: R,
-    // Struct-of-arrays robot state, indexed by RobotId::index(). Programs
-    // (`Box<dyn RobotProgram>`, not `Sync`) are kept apart from the plain
-    // data so the pooled co-location scan can borrow the rest.
+    recorder: FullRecorder,
+    // Struct-of-arrays robot state, indexed by RobotId::index().
     programs: Vec<Option<Box<dyn RobotProgram>>>,
     halted: Vec<bool>,
     lights: Vec<u64>,
@@ -139,7 +127,6 @@ pub struct EventSim<W, R = FullRecorder> {
     // sortable integer representation.
     queue: BinaryHeap<Reverse<(u64, usize)>>,
     steps: usize,
-    pool: ParPool,
 }
 
 /// Monotone map from non-negative finite f64 to u64 preserving order.
@@ -153,38 +140,8 @@ impl<W: WorldView> EventSim<W> {
     /// active at first.
     pub fn new(world: W) -> Self {
         let n = world.n();
-        EventSim::with_recorder(world, FullRecorder::with_capacity(n))
-    }
-
-    /// The schedule recorded so far (full recorder only).
-    pub fn schedule(&self) -> &Schedule {
-        self.recorder.schedule()
-    }
-
-    /// Consumes the engine, returning world and schedule.
-    pub fn into_parts(self) -> (W, Schedule) {
-        (self.world, self.recorder.into_schedule())
-    }
-}
-
-impl<W: WorldView> EventSim<W, CompressedRecorder> {
-    /// Creates an engine recording block-compressed trajectories —
-    /// validated full records at ≤ 12 B/move, see
-    /// [`CompressedRecorder`].
-    pub fn with_compressed(world: W) -> Self {
-        let n = world.n();
-        EventSim::with_recorder(world, CompressedRecorder::with_capacity(n))
-    }
-}
-
-impl<W: WorldView, R: ReplayRecorder + Sync> EventSim<W, R> {
-    /// Creates an engine over an arbitrary replay-capable recorder (which
-    /// must be fresh — no robot activated yet). The co-location scan needs
-    /// [`ReplayRecorder::position_at`], which is why the constant-memory
-    /// stats recorder cannot drive the event engine.
-    pub fn with_recorder(world: W, mut recorder: R) -> Self {
+        let mut recorder = FullRecorder::with_capacity(n);
         recorder.activate(RobotId::SOURCE, 0.0, world.source_pos());
-        let n = world.n();
         let mut programs: Vec<Option<Box<dyn RobotProgram>>> = Vec::with_capacity(n + 1);
         programs.resize_with(n + 1, || None);
         EventSim {
@@ -196,33 +153,22 @@ impl<W: WorldView, R: ReplayRecorder + Sync> EventSim<W, R> {
             pending: (0..n + 1).map(|_| None).collect(),
             queue: BinaryHeap::new(),
             steps: 0,
-            pool: ParPool::sequential(),
         }
     }
 
-    /// Attaches a [`ParPool`] for deterministic intra-run parallelism
-    /// (builder style): the per-step co-location scan fans out over the
-    /// pool's workers with an order-preserving merge, so results are
-    /// bit-identical at any thread count. Default is sequential.
-    #[must_use]
-    pub fn with_pool(mut self, pool: ParPool) -> Self {
-        self.pool = pool;
-        self
+    /// The schedule recorded so far.
+    pub fn schedule(&self) -> &Schedule {
+        self.recorder.schedule()
+    }
+
+    /// Consumes the engine, returning world and schedule.
+    pub fn into_parts(self) -> (W, Schedule) {
+        (self.world, self.recorder.into_schedule())
     }
 
     /// Read access to the world.
     pub fn world(&self) -> &W {
         &self.world
-    }
-
-    /// Read access to the recorder.
-    pub fn recorder(&self) -> &R {
-        &self.recorder
-    }
-
-    /// Consumes the engine, returning world and recorder.
-    pub fn into_recorder_parts(self) -> (W, R) {
-        (self.world, self.recorder)
     }
 
     /// Number of program steps executed.
@@ -252,42 +198,21 @@ impl<W: WorldView, R: ReplayRecorder + Sync> EventSim<W, R> {
     }
 
     fn colocated_at(&self, me: RobotId, pos: Point, now: f64) -> Vec<(RobotId, u64)> {
-        let me_idx = me.index();
-        let recorder = &self.recorder;
-        let lights = &self.lights;
-        let scan = |base: usize, count: usize| {
-            let mut out = Vec::new();
-            for (i, &light) in lights.iter().enumerate().skip(base).take(count) {
-                if i == me_idx {
-                    continue;
-                }
-                let id = RobotId::from_index(i);
-                // position_at is None exactly for never-activated robots
-                // (a robot has a program iff it was activated); halted
-                // robots still physically sit there and stay visible.
-                if let Some(p) = recorder.position_at(id, now) {
-                    if p.dist(pos) <= freezetag_geometry::EPS {
-                        out.push((id, light));
-                    }
+        let schedule = self.recorder.schedule();
+        let mut out = Vec::new();
+        for (i, &light) in self.lights.iter().enumerate() {
+            if i == me.index() {
+                continue;
+            }
+            let id = RobotId::from_index(i);
+            // Only activated robots have a timeline (a robot has a program
+            // iff it was activated); halted robots still physically sit
+            // there and stay visible.
+            if let Some(tl) = schedule.timeline(id) {
+                if tl.position_at(now).dist(pos) <= freezetag_geometry::EPS {
+                    out.push((id, light));
                 }
             }
-            out
-        };
-        let slots = self.halted.len();
-        if self.pool.is_sequential() || slots < PAR_COLOC_MIN {
-            return scan(0, slots);
-        }
-        // Pooled path: batches over the Sync per-robot arrays (programs,
-        // the one non-Sync column, is untouched), order-preserving merge —
-        // bit-identical to the sequential scan at any thread count.
-        let parts = self
-            .pool
-            .map_batches(&self.halted, COLOC_BATCH, |b, chunk| {
-                scan(b * COLOC_BATCH, chunk.len())
-            });
-        let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-        for p in parts {
-            out.extend(p);
         }
         out
     }
@@ -505,108 +430,6 @@ mod tests {
         }));
         assert!(sim.world().all_awake());
         assert!(seen.get(), "gatherer never saw its partner");
-    }
-
-    #[test]
-    fn compressed_event_run_matches_full_bitwise_and_validates() {
-        let pts: Vec<Point> = (1..=4).map(|i| Point::new(i as f64, 0.0)).collect();
-        let inst = Instance::new(pts);
-        let mut full = EventSim::new(ConcreteWorld::new(&inst));
-        full.run(Box::new(Walker {
-            hops: 4,
-            looked: false,
-        }));
-        let mut comp = EventSim::with_compressed(ConcreteWorld::new(&inst));
-        comp.run(Box::new(Walker {
-            hops: 4,
-            looked: false,
-        }));
-        assert!(comp.world().all_awake());
-        assert_eq!(full.steps(), comp.steps());
-        let (_, schedule) = full.into_parts();
-        let (_, rec) = comp.into_recorder_parts();
-        assert_eq!(schedule.makespan().to_bits(), rec.makespan().to_bits());
-        assert_eq!(
-            schedule.completion_time().to_bits(),
-            rec.completion_time().to_bits()
-        );
-        assert_eq!(
-            schedule.total_energy().to_bits(),
-            rec.total_energy().to_bits()
-        );
-        let flat = crate::validate(
-            &schedule,
-            Point::ORIGIN,
-            inst.positions(),
-            &crate::ValidationOptions::default(),
-        )
-        .expect("full validates");
-        let streamed = crate::validate(
-            &rec,
-            Point::ORIGIN,
-            inst.positions(),
-            &crate::ValidationOptions::default(),
-        )
-        .expect("compressed validates");
-        assert_eq!(flat, streamed);
-    }
-
-    #[test]
-    fn pooled_colocation_scan_matches_sequential() {
-        // 1200 robots in a tight cluster forces the pooled scan path
-        // (above PAR_COLOC_MIN) while a twin run stays sequential; the
-        // wake order — and therefore every recorded bit — must agree.
-        let pts: Vec<Point> = (0..1200)
-            .map(|i| Point::new(0.1 + (i % 40) as f64 * 0.02, 0.1 + (i / 40) as f64 * 0.02))
-            .collect();
-        let inst = Instance::new(pts);
-
-        /// Wakes every sighted robot in id order, then halts.
-        struct WakeAll {
-            queue: Vec<Sighting>,
-            looked: bool,
-        }
-        impl RobotProgram for WakeAll {
-            fn step(&mut self, ctx: &StepContext<'_>) -> Action {
-                if !self.looked {
-                    self.looked = true;
-                    return Action::Look;
-                }
-                if let Some(seen) = ctx.sightings {
-                    self.queue = seen.to_vec();
-                    self.queue.reverse();
-                }
-                match self.queue.last().copied() {
-                    Some(next) if next.pos.dist(ctx.pos) > 1e-6 => Action::MoveTo(next.pos),
-                    Some(next) => {
-                        self.queue.pop();
-                        Action::Wake {
-                            target: next.id,
-                            program: Box::new(WakeAll {
-                                queue: Vec::new(),
-                                looked: true,
-                            }),
-                        }
-                    }
-                    None => Action::Halt,
-                }
-            }
-        }
-
-        let run = |pool: ParPool| {
-            let mut sim = EventSim::new(ConcreteWorld::new(&inst)).with_pool(pool);
-            sim.run(Box::new(WakeAll {
-                queue: Vec::new(),
-                looked: false,
-            }));
-            let (_, schedule) = sim.into_parts();
-            schedule
-        };
-        let seq = run(ParPool::sequential());
-        let par = run(ParPool::new(4));
-        assert_eq!(seq.wakes(), par.wakes());
-        assert_eq!(seq.makespan().to_bits(), par.makespan().to_bits());
-        assert_eq!(seq.total_energy().to_bits(), par.total_energy().to_bits());
     }
 
     #[test]

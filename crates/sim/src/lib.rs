@@ -28,6 +28,12 @@
 //! bit-identical at any thread count — see [`Sim::with_pool`] and
 //! [`WorldView::look_batch_into`].
 //!
+//! [`events`] runs robots the other way round: each awake robot executes
+//! its own Look-Compute-Move program on one event queue, on one thread,
+//! recording a [`Schedule`] through the [`FullRecorder`]. It exists to show
+//! that the orchestrated drivers' runs are realizable by independent
+//! robots.
+//!
 //! # Example
 //!
 //! ```
@@ -71,7 +77,7 @@ pub use compress::{
 pub use error::SimError;
 pub use id::RobotId;
 pub use par::ParPool;
-pub use record::{FullRecorder, Recorder, ReplayRecorder, StatsRecorder};
+pub use record::{FullRecorder, Recorder, StatsRecorder};
 pub use schedule::{Schedule, Segment, Timeline, WakeEvent};
 pub use sim::Sim;
 pub use trace::{Trace, TraceSpan};

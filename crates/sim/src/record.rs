@@ -125,22 +125,6 @@ pub trait Recorder {
     fn memory_bytes(&self) -> usize;
 }
 
-/// A [`Recorder`] that can answer *where a robot was* at an arbitrary past
-/// time — the random-access query the event-driven executor's co-location
-/// scan and the wake-validation pass need. [`FullRecorder`] answers from
-/// its timelines; [`CompressedRecorder`](crate::CompressedRecorder)
-/// decodes the one block containing `t`. `StatsRecorder` keeps no
-/// trajectory and deliberately does not implement this.
-pub trait ReplayRecorder: Recorder {
-    /// Position of `robot` at absolute time `t` (clamped before activation
-    /// / after the last event), `None` if the robot was never activated.
-    ///
-    /// Must agree bit-for-bit with
-    /// [`Timeline::position_at`](crate::Timeline::position_at) on the same
-    /// event sequence.
-    fn position_at(&self, robot: RobotId, t: f64) -> Option<Point>;
-}
-
 /// The complete-record implementation: a [`Schedule`] (per-robot segment
 /// timelines plus the wake log). Required by `validate`, SVG export and
 /// every consumer that replays trajectories.
@@ -245,12 +229,6 @@ impl Recorder for FullRecorder {
 
     fn memory_bytes(&self) -> usize {
         self.schedule.memory_bytes()
-    }
-}
-
-impl ReplayRecorder for FullRecorder {
-    fn position_at(&self, robot: RobotId, t: f64) -> Option<Point> {
-        self.schedule.timeline(robot).map(|tl| tl.position_at(t))
     }
 }
 

@@ -21,7 +21,7 @@ pub struct TraceSpan {
 /// let mut t = Trace::new();
 /// t.record("round0/recruit", 0.0, 12.5, "team grew to 8");
 /// assert_eq!(t.spans().len(), 1);
-/// assert_eq!(t.total_duration("round0/recruit"), 12.5);
+/// assert_eq!(t.spans()[0].end, 12.5);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
@@ -55,22 +55,6 @@ impl Trace {
         &self.spans
     }
 
-    /// Spans whose label starts with `prefix`.
-    pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceSpan> {
-        self.spans
-            .iter()
-            .filter(move |s| s.label.starts_with(prefix))
-    }
-
-    /// Sum of durations of spans with exactly this label.
-    pub fn total_duration(&self, label: &str) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.label == label)
-            .map(|s| s.end - s.start)
-            .sum()
-    }
-
     /// Whether no spans were recorded.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
@@ -95,10 +79,9 @@ mod tests {
         t.record("a/x", 10.0, 11.0, "");
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
-        assert_eq!(t.with_prefix("a/").count(), 3);
-        assert_eq!(t.total_duration("a/x"), 3.0);
-        assert_eq!(t.total_duration("b"), 7.0);
-        assert_eq!(t.total_duration("zzz"), 0.0);
+        assert_eq!(t.spans()[1].label, "a/y");
+        assert_eq!(t.spans()[1].detail, "detail");
+        assert_eq!((t.spans()[2].start, t.spans()[2].end), (3.0, 10.0));
     }
 
     #[test]

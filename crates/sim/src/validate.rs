@@ -1,4 +1,3 @@
-use crate::record::ReplayRecorder;
 use crate::{
     CompressedRecorder, ParPool, Recorder, RobotId, Schedule, Segment, SegmentIter, SimError,
     Timeline, WakeEvent, WakeIter, WAKE_BLOCK_EVENTS,
@@ -168,7 +167,7 @@ impl RecordedRun for CompressedRecorder {
     }
 
     fn position_at(&self, robot: RobotId, t: f64) -> Option<Point> {
-        ReplayRecorder::position_at(self, robot, t)
+        CompressedRecorder::position_at(self, robot, t)
     }
 
     fn active_count(&self) -> usize {

@@ -93,7 +93,7 @@ fn usage() -> String {
   dftp svg      [--alg <ALG>] --gen <GEN> [GEN OPTIONS] --out <FILE>
   dftp generate --gen <GEN> [GEN OPTIONS] [--out <FILE>]
   dftp sweep    --scenarios <SPEC[,SPEC...]> [--algs <ALG[,ALG...]>]
-                [--algorithms <ALG[,ALG...]>] [--seeds <K>] [--plan-seed <S>]
+                [--seeds <K>] [--plan-seed <S>]
                 [--threads <N>] [--sim-threads <N>]
                 [--profile <full|stats|compressed>]
                 [--format <json|jsonl|csv>] [--flush-every <K>]
@@ -110,9 +110,9 @@ solve central-*:      central:*, central-anytime and optimal build a wake tree
                       sets execution threads only (byte-identical output) and
                       --time-budget returns the best tree found in time
 sweep scenario spec:  GEN[:key=value...]          e.g. disk:n=40:radius=8
-sweep --algorithms:   keep only the named algorithms of the plan's axis —
-                      re-run one algorithm's cells without editing the plan
-                      (names are validated; an empty intersection errors)
+sweep seeds:          each job's seed depends on its scenario and repetition,
+                      not on the algorithm axis, so --algs wave re-runs
+                      exactly the wave rows of a --algs grid,wave sweep
 sweep profiles:       full       = complete schedules + validation (default)
                       stats      = constant memory per robot, no validation —
                                    tractable for the large-n scenario families
@@ -550,7 +550,6 @@ fn open_sweep_out(
 fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), Failure> {
     let mut allowed = ExperimentPlan::OPTION_KEYS.to_vec();
     allowed.extend([
-        "algorithms",
         "threads",
         "format",
         "flush-every",
@@ -559,32 +558,7 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), Failure> {
         "resume",
     ]);
     check_keys("sweep", opts, &allowed)?;
-    let mut plan = ExperimentPlan::from_options(opts, "sweep", "--")?;
-    // --algorithms filters the plan's algorithm axis (perf work re-runs a
-    // single algorithm's cells without editing the plan). Names are
-    // validated through the same parser, so a typo fails loudly; a filter
-    // that empties the axis is an error, not a silent no-op sweep.
-    if let Some(filter_text) = opts.get("algorithms") {
-        let keep: Vec<AlgSpec> = filter_text
-            .split(',')
-            .map(AlgSpec::parse)
-            .collect::<Result<_, _>>()?;
-        for k in &keep {
-            if !plan.algorithms.contains(k) {
-                return Err(format!(
-                    "--algorithms keeps '{}' but the plan's axis is [{}]",
-                    k.label(),
-                    plan.algorithms
-                        .iter()
-                        .map(AlgSpec::label)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-                .into());
-            }
-        }
-        plan.algorithms.retain(|a| keep.contains(a));
-    }
+    let plan = ExperimentPlan::from_options(opts, "sweep", "--")?;
     let threads = get_u(opts, "threads", 1)?;
     // Reject a bad --format / --flush-every (and an invalid plan) before
     // the sweep runs — and before --out truncates an existing file — not

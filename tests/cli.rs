@@ -842,29 +842,29 @@ fn generate_round_trips_through_the_csv_loader() {
 }
 
 #[test]
-fn sweep_algorithms_filter_subsets_the_axis() {
-    // The filtered sweep must produce exactly the wave cells of the full
-    // plan — same derived seeds (they key on scenario × repetition, not on
-    // the algorithm), so results pair with a full run's wave rows.
-    let base = [
-        "sweep",
-        "--scenarios",
-        "disk:n=15:radius=5",
-        "--algs",
-        "separator,grid,wave",
-        "--seeds",
-        "2",
-        "--plan-seed",
-        "9",
-        "--format",
-        "jsonl",
-    ];
-    let full = dftp(&base);
+fn sweep_single_algorithm_rows_pair_with_the_full_plan() {
+    // A one-algorithm sweep must produce exactly the wave cells of the
+    // full plan — same derived seeds (they key on scenario × repetition,
+    // not on the algorithm), so results pair with a full run's wave rows.
+    let sweep_of = |algs| {
+        dftp(&[
+            "sweep",
+            "--scenarios",
+            "disk:n=15:radius=5",
+            "--algs",
+            algs,
+            "--seeds",
+            "2",
+            "--plan-seed",
+            "9",
+            "--format",
+            "jsonl",
+        ])
+    };
+    let full = sweep_of("separator,grid,wave");
     assert!(full.status.success(), "stderr: {}", stderr(&full));
-    let mut filtered_args = base.to_vec();
-    filtered_args.extend(["--algorithms", "wave"]);
-    let filtered = dftp(&filtered_args);
-    assert!(filtered.status.success(), "stderr: {}", stderr(&filtered));
+    let wave_only = sweep_of("wave");
+    assert!(wave_only.status.success(), "stderr: {}", stderr(&wave_only));
     let full_text = stdout(&full);
     assert_eq!(
         full_text
@@ -873,10 +873,10 @@ fn sweep_algorithms_filter_subsets_the_axis() {
             .count(),
         2
     );
-    let filtered_text = stdout(&filtered);
-    assert_eq!(filtered_text.lines().count(), 2, "{filtered_text}");
-    // Every filtered row is an AWave row with a seed present in the full
-    // run's wave rows (paired design survives the filter).
+    let wave_text = stdout(&wave_only);
+    assert_eq!(wave_text.lines().count(), 2, "{wave_text}");
+    // Every one-algorithm row is an AWave row with a seed present in the
+    // full run's wave rows (the paired design needs no filter).
     let seed_of = |line: &str| -> String {
         let at = line.find("\"seed\":").expect("seed field");
         line[at..]
@@ -890,43 +890,13 @@ fn sweep_algorithms_filter_subsets_the_axis() {
         .filter(|l| l.contains("\"algorithm\":\"AWave\""))
         .map(seed_of)
         .collect();
-    for line in filtered_text.lines() {
+    for line in wave_text.lines() {
         assert!(line.contains("\"algorithm\":\"AWave\""), "{line}");
         assert!(
             full_wave_seeds.contains(&seed_of(line)),
-            "filtered job ran an unpaired seed: {line}"
+            "wave-only job ran an unpaired seed: {line}"
         );
     }
-}
-
-#[test]
-fn sweep_algorithms_filter_rejects_unknown_and_disjoint_names() {
-    // A name the parser does not know fails with the parser's message.
-    let out = dftp(&[
-        "sweep",
-        "--scenarios",
-        "disk:n=10",
-        "--algorithms",
-        "teleport",
-    ]);
-    assert!(!out.status.success());
-    let err = stderr(&out);
-    assert!(err.contains("unknown algorithm spec"), "stderr: {err}");
-    // A valid algorithm missing from the plan's axis is rejected too —
-    // a filter that silently ran nothing would be worse than an error.
-    let out = dftp(&[
-        "sweep",
-        "--scenarios",
-        "disk:n=10",
-        "--algs",
-        "grid,wave",
-        "--algorithms",
-        "central:greedy",
-    ]);
-    assert!(!out.status.success());
-    let err = stderr(&out);
-    assert!(err.contains("but the plan's axis is"), "stderr: {err}");
-    assert!(err.contains("AGrid"), "stderr: {err}");
 }
 
 #[test]
@@ -938,8 +908,6 @@ fn scale_families_resolve_on_the_cli() {
         "--scenarios",
         "wave_100k:n=40:radius=8,separator_100k:n=40:radius=8",
         "--algs",
-        "wave,separator",
-        "--algorithms",
         "wave",
         "--seeds",
         "1",

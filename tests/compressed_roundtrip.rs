@@ -116,7 +116,6 @@ proptest! {
         alg in arb_algorithm(),
         fractions in proptest::collection::vec(0.0f64..1.2, 1..12),
     ) {
-        use freezetag::sim::ReplayRecorder;
         let (schedule, rec, n) = paired_run(generator, params, seed, alg);
         let horizon = schedule.completion_time();
         for i in 0..=n {

@@ -1,8 +1,8 @@
 //! Parity suite: the grid-indexed SoA [`Knowledge`] store against a
 //! straightforward `BTreeMap` model (the data structure it replaced).
 //!
-//! Arbitrary interleavings of `note_sighting` / `note_awake` / `merge` /
-//! `clear` must leave both stores observably identical: id-ordered
+//! Arbitrary interleavings of `note_sighting` / `note_awake` / `clear`
+//! must leave both stores observably identical: id-ordered
 //! iteration, region filters, point lookups, radius and rectangle
 //! visitors. This is what lets the algorithms swap full-map rescans for
 //! bounded grid queries without any behavioural wiggle room.
@@ -32,21 +32,12 @@ impl Model {
         let e = self.robots.entry(id).or_insert((origin, true));
         e.1 = true;
     }
-
-    fn merge(&mut self, other: &Model) {
-        for (&id, &(origin, awake)) in &other.robots {
-            let e = self.robots.entry(id).or_insert((origin, awake));
-            e.1 |= awake;
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
 enum Op {
     Sighting(usize, Point),
     Awake(usize, Point),
-    /// Merge a second store built from the given ops into the main one.
-    Merge(Vec<(bool, usize, Point)>),
     Clear,
 }
 
@@ -57,22 +48,11 @@ fn arb_point() -> impl Strategy<Value = Point> {
 fn arb_op() -> impl Strategy<Value = Op> {
     // (the vendored proptest subset has no weighted prop_oneof; the decode
     // strategy below skews towards sightings instead)
-    (
-        0u32..11,
-        (0usize..40, arb_point()),
-        prop::collection::vec((0u32..2, 0usize..40, arb_point()), 0..10),
-    )
-        .prop_map(|(kind, (id, p), merge_ops)| match kind {
-            0..=5 => Op::Sighting(id, p),
-            6..=8 => Op::Awake(id, p),
-            9 => Op::Merge(
-                merge_ops
-                    .into_iter()
-                    .map(|(awake, id, p)| (awake == 1, id, p))
-                    .collect(),
-            ),
-            _ => Op::Clear,
-        })
+    (0u32..10, (0usize..40, arb_point())).prop_map(|(kind, (id, p))| match kind {
+        0..=5 => Op::Sighting(id, p),
+        6..=8 => Op::Awake(id, p),
+        _ => Op::Clear,
+    })
 }
 
 fn check_equal(k: &Knowledge, m: &Model, cell: f64) -> Result<(), TestCaseError> {
@@ -170,21 +150,6 @@ proptest! {
                 Op::Awake(id, p) => {
                     k.note_awake(RobotId::from_index(*id), *p);
                     m.note_awake(*id, *p);
-                }
-                Op::Merge(other_ops) => {
-                    let mut ok = Knowledge::with_cell_width(cell);
-                    let mut om = Model::default();
-                    for &(awake, id, p) in other_ops {
-                        if awake {
-                            ok.note_awake(RobotId::from_index(id), p);
-                            om.note_awake(id, p);
-                        } else {
-                            ok.note_sighting(RobotId::from_index(id), p);
-                            om.note_sighting(id, p);
-                        }
-                    }
-                    k.merge(&ok);
-                    m.merge(&om);
                 }
                 Op::Clear => {
                     k.clear();

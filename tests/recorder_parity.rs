@@ -19,8 +19,8 @@ use freezetag::core::{run_algorithm, Algorithm};
 use freezetag::geometry::Point;
 use freezetag::instances::registry;
 use freezetag::sim::{
-    CompressedRecorder, ConcreteWorld, FullRecorder, Recorder, ReplayRecorder, RobotId, Segment,
-    Sim, StatsRecorder, WakeEvent, WorldView,
+    CompressedRecorder, ConcreteWorld, FullRecorder, Recorder, RobotId, Segment, Sim,
+    StatsRecorder, WakeEvent, WorldView,
 };
 use proptest::prelude::*;
 

@@ -255,6 +255,12 @@ fn bad_plans_and_unknown_routes_are_clean_errors() {
     assert!(body.contains("scenarios"), "{body}");
     let (status, _) = post(addr, "/plans", "scenarios=disk&bogus=1");
     assert!(status.contains("400"), "{status}");
+    // A control character from the client reaches the error message; it
+    // must come back as a JSON escape, not Rust's `\u{1}` Debug form.
+    let (status, body) = post(addr, "/plans", "%01=1");
+    assert!(status.contains("400"), "{status}");
+    assert!(body.contains("\\u0001"), "{body}");
+    assert!(!body.contains("\\u{"), "{body}");
     let (status, _) = get(addr, "/plans/999");
     assert!(status.contains("404"), "{status}");
     let (status, _) = get(addr, "/nope");
