@@ -51,6 +51,6 @@ pub use grid_events::{a_grid_events, AGridRobot};
 pub use radius_approx::{estimate_radius, RadiusEstimate};
 pub use scratch::AlgScratch;
 pub use separator::{a_separator, a_separator_in, ASeparatorConfig};
-pub use solve::{run_algorithm, solve, solve_with_options, Algorithm, RunReport};
+pub use solve::{run_algorithm, solve, Algorithm, RunReport};
 pub use treasure_hunt::{spiral_search, team_search, SearchOutcome};
 pub use wave::{a_wave, a_wave_in, AWaveConfig};

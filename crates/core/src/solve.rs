@@ -113,42 +113,15 @@ pub fn solve(
     tuple: &AdmissibleTuple,
     alg: Algorithm,
 ) -> Result<RunReport, SimError> {
-    solve_with_options(instance, tuple, alg, &ValidationOptions::default())
-}
-
-/// Like [`solve`], but validating against caller-chosen options — most
-/// usefully a per-robot energy budget `B`, turning the run into the
-/// paper's *dFTP with energy budget* (Definition 1):
-///
-/// ```
-/// use freezetag_core::{solve_with_options, Algorithm};
-/// use freezetag_instances::generators::grid_lattice;
-/// use freezetag_sim::ValidationOptions;
-///
-/// let inst = grid_lattice(4, 4, 1.0);
-/// let tuple = inst.admissible_tuple();
-/// let opts = ValidationOptions {
-///     energy_budget: Some(200.0), // generous Θ(ℓ²) budget for ℓ = 1
-///     ..Default::default()
-/// };
-/// let rep = solve_with_options(&inst, &tuple, Algorithm::Grid, &opts).unwrap();
-/// assert!(rep.all_awake);
-/// ```
-///
-/// # Errors
-///
-/// Any validation failure, including [`SimError::EnergyExceeded`] when the
-/// budget binds.
-pub fn solve_with_options(
-    instance: &Instance,
-    tuple: &AdmissibleTuple,
-    alg: Algorithm,
-    opts: &ValidationOptions,
-) -> Result<RunReport, SimError> {
     let mut sim = Sim::new(ConcreteWorld::new(instance));
     run_algorithm(&mut sim, tuple, alg);
     let (world, schedule, trace) = sim.into_parts();
-    let report = validate(&schedule, instance.source(), instance.positions(), opts)?;
+    let report = validate(
+        &schedule,
+        instance.source(),
+        instance.positions(),
+        &ValidationOptions::default(),
+    )?;
     Ok(RunReport::from_parts(
         alg,
         report,

@@ -7,7 +7,7 @@
 //! `Θ(D + D²/k)` moves per robot, by exploring squares of doubling width
 //! split into strips (\[FHG+16\], \[FKLS12\] in the paper's bibliography).
 //! Both are implemented here against the restricted sensing interface and
-//! measured in the `fig_explore` bench.
+//! measured by Ablation 3 of the `ablation` bench binary.
 
 use crate::explore::{dedup_sightings, explore};
 use crate::team::Team;

@@ -6,6 +6,7 @@ use freezetag_core::Algorithm;
 use freezetag_instances::registry::{self, ParamMap};
 use std::collections::HashMap;
 use std::fmt;
+use std::time::Duration;
 
 /// A named scenario: a registry generator plus a parameter map.
 #[derive(Debug, Clone, PartialEq)]
@@ -350,8 +351,9 @@ impl ExperimentPlan {
     /// `profile` (`full`), `sim-threads` (1) and `name` (`default_name`).
     ///
     /// Keys outside [`ExperimentPlan::OPTION_KEYS`] are ignored — each
-    /// caller checks its own extras — and the plan is not validated, so a
-    /// caller may still narrow its axes before [`ExperimentPlan::validate`].
+    /// caller checks its whole key set with [`check_option_keys`] — and
+    /// the plan is not validated, so a caller may still narrow its axes
+    /// before [`ExperimentPlan::validate`].
     /// Error messages spell a key as `{flag}{key}` (`flag` is `--` on the
     /// command line, empty in a request body).
     ///
@@ -482,6 +484,63 @@ impl ExperimentPlan {
         }
         Ok(())
     }
+}
+
+/// Rejects any key of `opts` outside `allowed`: the unknown-option check
+/// of every `dftp` command and of `dftp serve` request bodies. Keys are
+/// spelled `{flag}{key}`, as in [`ExperimentPlan::from_options`].
+///
+/// # Errors
+///
+/// A usage message naming the (alphabetically first) unknown key and
+/// every accepted one.
+pub fn check_option_keys(
+    opts: &HashMap<String, String>,
+    allowed: &[&str],
+    flag: &str,
+) -> Result<(), String> {
+    match opts.keys().filter(|k| !allowed.contains(&k.as_str())).min() {
+        None => Ok(()),
+        Some(key) => Err(format!(
+            "unknown option '{flag}{key}' (accepted: {})",
+            allowed
+                .iter()
+                .map(|k| format!("{flag}{k}"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        )),
+    }
+}
+
+/// Reads option `key` as a wall-clock budget in seconds (`dftp solve
+/// --time-budget`, a serve plan's `deadline-s`): `None` when absent,
+/// otherwise a positive, finite number that fits a [`Duration`]. Keys
+/// are spelled `{flag}{key}` in messages.
+///
+/// # Errors
+///
+/// A usage message when the value is not a number, not positive and
+/// finite, or too large for a [`Duration`].
+pub fn option_seconds(
+    opts: &HashMap<String, String>,
+    key: &str,
+    flag: &str,
+) -> Result<Option<Duration>, String> {
+    let Some(text) = opts.get(key) else {
+        return Ok(None);
+    };
+    let secs: f64 = text
+        .trim()
+        .parse()
+        .map_err(|_| format!("{flag}{key} expects seconds (a number), got {text:?}"))?;
+    if !secs.is_finite() || secs <= 0.0 {
+        return Err(format!(
+            "{flag}{key} must be positive and finite, got {text}"
+        ));
+    }
+    Duration::try_from_secs_f64(secs)
+        .map(Some)
+        .map_err(|_| format!("{flag}{key} {text} is too large for a duration"))
 }
 
 /// Deterministic per-job seed: a splitmix64 finalizer over

@@ -12,7 +12,9 @@
 
 use crate::plan::{AlgSpec, ExperimentPlan, JobSpec, Profile, ScenarioSpec};
 use crate::ExpError;
-use freezetag_central::{anytime_wake_tree, optimal_makespan, AnytimeConfig, WakeStrategy};
+use freezetag_central::{
+    anytime_wake_tree, optimal_makespan, AnytimeConfig, AnytimeReport, WakeStrategy, WakeTree,
+};
 use freezetag_core::{
     a_grid, a_separator_in, a_wave_in, AGridConfig, ASeparatorConfig, AWaveConfig, AlgScratch,
     Algorithm, RunReport,
@@ -567,6 +569,81 @@ fn distributed_result(
     }
 }
 
+/// What a centralized baseline computes on a concrete instance.
+#[derive(Debug, Clone)]
+pub enum CentralAnswer {
+    /// The wake tree of a constructive strategy (`central:STRATEGY`).
+    Tree(WakeTree),
+    /// The anytime optimizer's report (`central-anytime`).
+    Anytime(AnytimeReport),
+    /// The exact optimal makespan (`optimal`).
+    Optimal(f64),
+}
+
+/// The one centralized-baseline path, behind plan jobs and `dftp solve`:
+/// builds the scenario's instance and runs `alg` on its known positions.
+/// `config` reaches `central-anytime` only: plan jobs pass the default,
+/// whose fixed iteration budget keeps the answer a pure function of
+/// (instance, seed) at any `pool` width, as the Engine's thread-count-free
+/// cache key requires. The seed also drives the search streams, so
+/// repetitions explore independently while staying paired on the instance.
+///
+/// # Errors
+///
+/// Registry errors, or [`ExpError::Unsupported`] for an adversarial
+/// scenario (no known positions), `optimal` beyond `n = 10`, or a
+/// distributed `alg`.
+pub fn central_run(
+    spec: &ScenarioSpec,
+    alg: AlgSpec,
+    seed: u64,
+    config: &AnytimeConfig,
+    pool: &ParPool,
+    cancel: &CancelToken,
+) -> Result<(Instance, CentralAnswer), ExpError> {
+    let Built::Concrete(inst) = build(spec, seed)? else {
+        return Err(ExpError::Unsupported(format!(
+            "scenario '{}' is adversarial but {} needs known positions",
+            spec.name,
+            alg.label()
+        )));
+    };
+    let items: Vec<(RobotId, Point)> = inst
+        .positions()
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (RobotId::sleeper(i), p))
+        .collect();
+    let answer = match alg {
+        AlgSpec::Central(strategy) => CentralAnswer::Tree(strategy.build(inst.source(), &items)),
+        AlgSpec::CentralAnytime => CentralAnswer::Anytime(anytime_wake_tree(
+            inst.source(),
+            &items,
+            config,
+            seed,
+            pool,
+            cancel,
+        )),
+        AlgSpec::CentralOptimal if inst.n() > 10 => {
+            return Err(ExpError::Unsupported(format!(
+                "central[optimal] is branch-and-bound; n={} > 10 on scenario '{}'",
+                inst.n(),
+                spec.name
+            )))
+        }
+        AlgSpec::CentralOptimal => {
+            CentralAnswer::Optimal(optimal_makespan(inst.source(), inst.positions()))
+        }
+        AlgSpec::Distributed { .. } => {
+            return Err(ExpError::Unsupported(format!(
+                "{} is not a centralized baseline",
+                alg.label()
+            )))
+        }
+    };
+    Ok((inst, answer))
+}
+
 /// The record of a centralized baseline job (`wall_time_s` is filled in
 /// by [`run_job`]).
 fn central_job(
@@ -575,47 +652,12 @@ fn central_job(
     pool: &ParPool,
     cancel: &CancelToken,
 ) -> Result<JobResult, ExpError> {
-    let inst = registry::build_instance(&spec.generator, &spec.params, job.seed)
-        .map_err(|e| ExpError::Registry(format!("scenario '{}': {e}", spec.name)))?;
-    let items: Vec<(RobotId, Point)> = inst
-        .positions()
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (RobotId::sleeper(i), p))
-        .collect();
-    let (makespan, total_energy) = match job.algorithm {
-        AlgSpec::Central(strategy) => {
-            let tree = strategy.build(inst.source(), &items);
-            (tree.makespan(), tree.total_length())
-        }
-        AlgSpec::CentralAnytime => {
-            // Default (fixed-iteration) budget: the result is a pure
-            // function of (instance, seed) at any pool width — required
-            // by the Engine's thread-count-free cache key. The job seed
-            // drives the search streams, so repetitions explore
-            // independently while staying paired on the instance.
-            let report = anytime_wake_tree(
-                inst.source(),
-                &items,
-                &AnytimeConfig::default(),
-                job.seed,
-                pool,
-                cancel,
-            );
-            (report.tree.makespan(), report.tree.total_length())
-        }
-        AlgSpec::CentralOptimal => {
-            if inst.n() > 10 {
-                return Err(ExpError::Unsupported(format!(
-                    "central[optimal] is branch-and-bound; n={} > 10 on scenario '{}'",
-                    inst.n(),
-                    spec.name
-                )));
-            }
-            let m = optimal_makespan(inst.source(), inst.positions());
-            (m, f64::NAN)
-        }
-        AlgSpec::Distributed { .. } => unreachable!("run_job routes distributed jobs elsewhere"),
+    let config = AnytimeConfig::default();
+    let (inst, answer) = central_run(spec, job.algorithm, job.seed, &config, pool, cancel)?;
+    let (makespan, total_energy) = match answer {
+        CentralAnswer::Tree(tree) => (tree.makespan(), tree.total_length()),
+        CentralAnswer::Anytime(report) => (report.tree.makespan(), report.tree.total_length()),
+        CentralAnswer::Optimal(m) => (m, f64::NAN),
     };
     let tuple = tuple_for(spec, &inst, pool)?;
     Ok(JobResult {

@@ -37,7 +37,7 @@
 
 use crate::emit;
 use crate::engine::{Engine, EngineConfig, SubmitOptions};
-use crate::plan::ExperimentPlan;
+use crate::plan::{check_option_keys, option_seconds, ExperimentPlan};
 use crate::ExpError;
 use freezetag_sim::CancelToken;
 use std::collections::{HashMap, VecDeque};
@@ -509,32 +509,11 @@ fn plan_from_params(
             return Err(format!("duplicate option '{key}'"));
         }
     }
-    for key in opts.keys() {
-        if !ExperimentPlan::OPTION_KEYS.contains(&key.as_str()) && key != "deadline-s" {
-            return Err(format!(
-                "unknown option '{key}' (expected one of {}, deadline-s)",
-                ExperimentPlan::OPTION_KEYS.join(", ")
-            ));
-        }
-    }
+    let mut allowed = ExperimentPlan::OPTION_KEYS.to_vec();
+    allowed.push("deadline-s");
+    check_option_keys(&opts, &allowed, "")?;
     let plan = ExperimentPlan::from_options(&opts, "serve", "").map_err(|e| e.to_string())?;
-    let deadline = match opts.get("deadline-s") {
-        None => None,
-        Some(text) => {
-            let seconds = text
-                .trim()
-                .parse::<f64>()
-                .map_err(|_| format!("deadline-s wants seconds, got {text:?}"))?;
-            if !seconds.is_finite() || seconds <= 0.0 {
-                return Err(format!(
-                    "deadline-s must be positive and finite, got {text:?}"
-                ));
-            }
-            let budget = Duration::try_from_secs_f64(seconds)
-                .map_err(|_| format!("deadline-s {text:?} is too large for a duration"))?;
-            Some(budget)
-        }
-    };
+    let deadline = option_seconds(&opts, "deadline-s", "")?;
     plan.validate().map_err(|e| e.to_string())?;
     Ok((plan, deadline))
 }

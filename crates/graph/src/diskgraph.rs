@@ -63,24 +63,36 @@ impl DiskGraph {
     }
 
     /// Neighbours of vertex `v` with their edge weights, ascending by
-    /// vertex index. `v` itself is excluded. The iterator borrows the
-    /// underlying [`GridIndex`] — no per-query adjacency `Vec` is built,
-    /// which keeps Dijkstra/BFS passes over 10⁶-vertex graphs allocation-
-    /// light.
+    /// vertex index. `v` itself is excluded.
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let p = self.point(v);
-        self.index
-            .within(p, self.delta)
-            .filter(move |&u| u != v)
-            .map(move |u| (u, self.point(u).dist(p)))
+        let mut out = Vec::new();
+        self.neighbors_into(v, &mut out);
+        out.into_iter().map(move |u| (u, self.point(u).dist(p)))
     }
 
     /// Neighbour indices of `v` written into a reusable buffer (cleared
     /// first), ascending; `v` itself excluded. The allocation-free variant
     /// of [`DiskGraph::neighbors`] for hot loops that scan many vertices.
+    ///
+    /// `u` is adjacent to `v` when the index's squared test
+    /// `|u − v|² ≤ (δ + EPS)²` accepts it *or* `dist(u, v) ≤ δ`. The second
+    /// arm matters once `2·δ·EPS` falls below an ulp of `δ²` (distances
+    /// past ~10⁷): there a pair exactly `ℓ*` apart, as
+    /// [`connectivity_threshold`](crate::connectivity_threshold) measured
+    /// it with [`Point::dist`], can fail the squared test by one rounding.
+    /// The query radius is widened by far more than those roundings so the
+    /// index returns every such pair; the filter drops whatever else the
+    /// widening let in.
     pub fn neighbors_into(&self, v: usize, out: &mut Vec<usize>) {
-        self.index.within_into(self.point(v), self.delta, out);
-        out.retain(|&u| u != v);
+        let p = self.point(v);
+        self.index.within_into(p, self.delta * (1.0 + 1e-12), out);
+        let accept = self.delta + freezetag_geometry::EPS;
+        let accept_sq = accept * accept;
+        out.retain(|&u| {
+            let q = self.point(u);
+            u != v && (q.dist_sq(p) <= accept_sq || q.dist(p) <= self.delta)
+        });
     }
 
     /// Whether the whole graph is connected (vacuously true when empty or a

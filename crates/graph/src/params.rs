@@ -456,7 +456,34 @@ mod tests {
                     prim_threshold(&pts).to_bits()
                 );
             }
+
+            /// Proposition 1 needs the ℓ*-disk graph connected: ξ_ℓ at ℓ*
+            /// is finite at scales up to 10¹², where `2·ℓ*·EPS` is far
+            /// below an ulp of `ℓ*²`.
+            #[test]
+            fn xi_at_the_threshold_is_finite_at_every_scale(
+                raw in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 1..40),
+                log_scale in -6.0f64..12.0,
+            ) {
+                let scale = 10f64.powf(log_scale);
+                let pts: Vec<Point> = raw
+                    .iter()
+                    .map(|&(x, y)| Point::new(x * scale, y * scale))
+                    .collect();
+                let ell = connectivity_threshold(&pts);
+                prop_assert!(eccentricity(&pts, 0, ell).is_some(), "ℓ* = {}", ell);
+            }
         }
+    }
+
+    #[test]
+    fn xi_at_the_threshold_is_finite_on_a_wide_disk() {
+        // Its bottleneck pair fails the squared test `|p−q|² ≤ (ℓ*+EPS)²`
+        // by one rounding, though `dist(p, q) = ℓ*`.
+        let inst = freezetag_instances::generators::uniform_disk(4, 1e8, 1);
+        let pts = inst.all_points();
+        let ell = connectivity_threshold(&pts);
+        assert!(eccentricity(&pts, 0, ell).is_some(), "ℓ* = {ell}");
     }
 
     #[test]

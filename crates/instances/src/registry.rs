@@ -469,6 +469,12 @@ fn check_constraints(r: &Resolved<'_>) -> Result<(), RegistryError> {
     Ok(())
 }
 
+/// The largest value any generator parameter takes. Past it a generator's
+/// arithmetic overflows: `uniform_disk` at radius 1e308 samples from an
+/// infinite span and its rejection loop never ends, and at radius 1e155
+/// squared distances overflow and every disk graph is complete.
+const PARAM_CEILING: f64 = 1e150;
+
 struct Resolved<'a> {
     info: &'static GeneratorInfo,
     params: &'a ParamMap,
@@ -488,6 +494,13 @@ impl Resolved<'_> {
                 generator: self.info.name,
                 key,
                 message: format!("must be a positive finite number, got {v}"),
+            });
+        }
+        if v > PARAM_CEILING {
+            return Err(RegistryError::InvalidParam {
+                generator: self.info.name,
+                key,
+                message: format!("{v:e} exceeds the registry ceiling {PARAM_CEILING:e}"),
             });
         }
         Ok(v)
@@ -720,6 +733,12 @@ mod tests {
         assert!(matches!(err, RegistryError::InvalidParam { .. }));
         let err = build("theorem6", &params(&[("xi", 4000.0)]), 1).unwrap_err();
         assert!(matches!(err, RegistryError::InvalidParam { .. }));
+        // Past the ceiling a generator overflows (or never terminates).
+        for radius in [1e308, 1e155] {
+            let err = validate("disk", &params(&[("radius", radius)])).unwrap_err();
+            assert!(err.to_string().contains("'radius'"), "{err}");
+        }
+        assert!(validate("disk", &params(&[("radius", 1e150)])).is_ok());
     }
 
     #[test]

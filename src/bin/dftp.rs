@@ -1,32 +1,37 @@
 //! `dftp` — command-line driver for the freezetag workspace.
 //!
 //! ```console
-//! $ dftp solve --alg separator --gen disk --n 100 --radius 20 --seed 1
-//! $ dftp solve --alg central-anytime --gen disk --n 500 --radius 40 --workers 2
-//! $ dftp params --gen disk --n 200 --radius 30 --seed 7
-//! $ dftp svg --alg separator --gen lattice --side 12 --spacing 2 --out run.svg
-//! $ dftp compare --gen snake --legs 4 --leg 60 --spacing 2
-//! $ dftp generate --gen clusters --per 25 --seed 3 --out swarm.csv
+//! $ dftp solve --alg separator --scenario disk:n=100:radius=20 --seed 1
+//! $ dftp solve --alg central-anytime --scenario disk:n=500:radius=40 --workers 2
+//! $ dftp params --scenario disk:n=200:radius=30 --seed 7
+//! $ dftp svg --alg separator --scenario lattice:side=12:spacing=2 --out run.svg
+//! $ dftp compare --scenario snake:legs=4:leg=60:spacing=2
+//! $ dftp generate --scenario clusters:per=25 --seed 3 --out swarm.csv
 //! $ dftp sweep --scenarios disk:n=80:radius=15,snake:legs=6 \
 //!       --algs separator,grid,wave --seeds 5 --threads 4 --out results.json
 //! ```
 //!
-//! Generators are resolved through the scenario registry
-//! (`freezetag::instances::registry`); `--alg` takes the sweep grammar
-//! (`freezetag::exp::AlgSpec::parse`); unknown `--options` are usage
-//! errors, not silently ignored. Every distributed run goes through
-//! `Engine::single`, the job path sweeps use. Everything is deterministic
+//! Every command shares the plan grammar of `dftp sweep` and `dftp serve`:
+//! `--scenario` is one `freezetag::exp::ScenarioSpec::parse` text, checked
+//! against the scenario registry (`freezetag::instances::registry`);
+//! `--alg` is one `freezetag::exp::AlgSpec::parse` text; unknown
+//! `--options` are usage errors, not silently ignored. Every distributed
+//! run goes through `Engine::single` and every centralized baseline
+//! through `runner::central_run`, the job paths sweeps use. Everything is deterministic
 //! given `--seed` (or, for sweeps, `--plan-seed` — byte-identical output
 //! for any `--threads` *and* any `--sim-threads`).
 
+use freezetag::central::AnytimeConfig;
 use freezetag::core::{bounds, Algorithm};
+use freezetag::exp::plan::{check_option_keys, option_seconds};
 use freezetag::exp::{
-    agg, emit, journal, serve, AlgSpec, Engine, EngineConfig, ExpError, ExperimentPlan,
-    ScenarioSpec, SingleRun, SubmitOptions,
+    agg, central_run, emit, journal, serve, AlgSpec, CentralAnswer, Engine, EngineConfig, ExpError,
+    ExperimentPlan, ScenarioSpec, SingleRun, SubmitOptions,
 };
-use freezetag::instances::registry::{self, GeneratorInfo, ParamMap};
-use freezetag::instances::{AdmissibleTuple, Instance};
+use freezetag::instances::registry;
+use freezetag::instances::AdmissibleTuple;
 use freezetag::sim::svg::{render_run, SvgOptions};
+use freezetag::sim::{CancelToken, ParPool};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -86,12 +91,12 @@ impl From<ExpError> for Failure {
 fn usage() -> String {
     let mut out = String::from(
         "usage:
-  dftp solve    [--alg <ALG>] --gen <GEN> [GEN OPTIONS]
+  dftp solve    [--alg <ALG>] [--scenario <SPEC>] [--seed <S>]
                 [--time-budget <SECS>] [--workers <N>]  (central-anytime only)
-  dftp compare  --gen <GEN> [GEN OPTIONS]
-  dftp params   --gen <GEN> [GEN OPTIONS]
-  dftp svg      [--alg <ALG>] --gen <GEN> [GEN OPTIONS] --out <FILE>
-  dftp generate --gen <GEN> [GEN OPTIONS] [--out <FILE>]
+  dftp compare  [--scenario <SPEC>] [--seed <S>]
+  dftp params   [--scenario <SPEC>] [--seed <S>]
+  dftp svg      [--alg <ALG>] [--scenario <SPEC>] [--seed <S>] [--out <FILE>]
+  dftp generate [--scenario <SPEC>] [--seed <S>] [--out <FILE>]
   dftp sweep    --scenarios <SPEC[,SPEC...]> [--algs <ALG[,ALG...]>]
                 [--seeds <K>] [--plan-seed <S>]
                 [--threads <N>] [--sim-threads <N>]
@@ -109,7 +114,8 @@ solve central-*:      central:*, central-anytime and optimal build a wake tree
                       on the known positions; for central-anytime --workers
                       sets execution threads only (byte-identical output) and
                       --time-budget returns the best tree found in time
-sweep scenario spec:  GEN[:key=value...]          e.g. disk:n=40:radius=8
+scenario spec (SPEC): GEN[:key=value...]          e.g. disk:n=40:radius=8
+                      (default: disk); sweep takes a comma-separated list
 sweep seeds:          each job's seed depends on its scenario and repetition,
                       not on the algorithm axis, so --algs wave re-runs
                       exactly the wave rows of a --algs grid,wave sweep
@@ -139,7 +145,7 @@ serve:                long-lived sweep service on 127.0.0.1 (HTTP/1.1):
                       POST /plans/<id>/cancel stops a plan; repeated
                       submissions are served from a deterministic cache
 
-generators (defaults in parentheses; unseeded generators ignore --seed):
+generators (GEN key=default ...; unseeded generators ignore --seed):
 ",
     );
     for g in registry::GENERATORS {
@@ -150,7 +156,7 @@ generators (defaults in parentheses; unseeded generators ignore --seed):
         let params: Vec<String> = g
             .params
             .iter()
-            .map(|p| format!("--{} ({})", p.key, p.default))
+            .map(|p| format!("{}={}", p.key, p.default))
             .collect();
         let _ = writeln!(out, "  {name:<34} {}", params.join(" "));
     }
@@ -184,25 +190,6 @@ fn parse(args: &[String]) -> Option<(String, HashMap<String, String>)> {
     Some((cmd, opts))
 }
 
-/// Rejects any `--key` the command does not understand. `allowed` holds
-/// the command's own keys; generator parameters are appended by the
-/// caller, so `dftp solve --gen lattice --radius 5` is an error too.
-fn check_keys(cmd: &str, opts: &HashMap<String, String>, allowed: &[&str]) -> Result<(), String> {
-    for key in opts.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!(
-                "unknown option '--{key}' for '{cmd}' (accepted: {})",
-                allowed
-                    .iter()
-                    .map(|k| format!("--{k}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn get_u(opts: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
     match opts.get(key) {
         None => Ok(default),
@@ -210,48 +197,16 @@ fn get_u(opts: &HashMap<String, String>, key: &str, default: usize) -> Result<us
     }
 }
 
-/// Resolves `--gen` against the registry and checks all provided keys
-/// against `base` (command keys) plus the generator's own parameters.
-fn resolve_generator(
-    cmd: &str,
-    opts: &HashMap<String, String>,
-    base: &[&str],
-) -> Result<(&'static GeneratorInfo, ParamMap), String> {
-    let gen = opts.get("gen").map(String::as_str).unwrap_or("disk");
-    let info = registry::lookup(gen).ok_or_else(|| {
-        format!(
-            "unknown generator '{gen}' (known: {})",
-            registry::GENERATORS
-                .iter()
-                .map(|g| g.name)
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
-    })?;
-    let mut allowed: Vec<&str> = base.to_vec();
-    allowed.extend(["gen", "seed"]);
-    allowed.extend(info.params.iter().map(|p| p.key));
-    check_keys(cmd, opts, &allowed)?;
-    let mut params = ParamMap::new();
-    for spec in info.params {
-        if let Some(raw) = opts.get(spec.key) {
-            let value: f64 = raw
-                .parse()
-                .map_err(|_| format!("--{} expects a number", spec.key))?;
-            params.insert(spec.key.to_string(), value);
-        }
-    }
-    Ok((info, params))
-}
-
-fn build_instance(
-    cmd: &str,
-    opts: &HashMap<String, String>,
-    base: &[&str],
-) -> Result<Instance, String> {
-    let (info, params) = resolve_generator(cmd, opts, base)?;
-    let seed = get_u(opts, "seed", 1)? as u64;
-    registry::build_instance(info.name, &params, seed).map_err(|e| e.to_string())
+/// `--scenario` in the sweep grammar ([`ScenarioSpec::parse`], `disk`
+/// when absent; the registry checks it when the instance is built) and
+/// `--seed` (default 1). Any option outside `keys`, `--scenario` and
+/// `--seed` is an error.
+fn scenario(opts: &HashMap<String, String>, keys: &[&str]) -> Result<(ScenarioSpec, u64), Failure> {
+    let mut allowed = keys.to_vec();
+    allowed.extend(["scenario", "seed"]);
+    check_option_keys(opts, &allowed, "--")?;
+    let spec = ScenarioSpec::parse(opts.get("scenario").map_or("disk", String::as_str))?;
+    Ok((spec, get_u(opts, "seed", 1)? as u64))
 }
 
 /// `--alg` in the sweep grammar ([`AlgSpec::parse`]), `separator` when
@@ -259,23 +214,6 @@ fn build_instance(
 fn alg_spec(opts: &HashMap<String, String>) -> Result<AlgSpec, Failure> {
     let text = opts.get("alg").map_or("separator", String::as_str);
     Ok(AlgSpec::parse(text)?)
-}
-
-/// One distributed run on the generator's scenario through
-/// [`Engine::single`]: the sweep job path under the full profile
-/// (`tuple_for`, dispatch, validation, ξ_ℓ), adversarial layouts
-/// included.
-fn single_run(
-    info: &GeneratorInfo,
-    params: ParamMap,
-    alg: AlgSpec,
-    seed: u64,
-) -> Result<SingleRun, Failure> {
-    let spec = ScenarioSpec {
-        params,
-        ..ScenarioSpec::new(info.name)
-    };
-    Ok(Engine::default().single(&spec, alg, seed)?)
 }
 
 /// The measured run against the bound of its algorithm's theorem.
@@ -307,81 +245,39 @@ fn print_report(alg: AlgSpec, run: &SingleRun) {
 }
 
 /// `dftp solve --alg central:*|central-anytime|optimal`: the centralized
-/// baselines, which build a wake tree directly on the generated instance
-/// instead of driving the simulator. Prints the tree digest so runs are
-/// byte-comparable — the CI determinism leg diffs this output across
-/// `--workers 1/2/4`.
+/// baselines through [`central_run`], the plan jobs' path, with
+/// `--time-budget` and `--workers` reaching `central-anytime`. Prints the
+/// tree digest so runs are byte-comparable — the CI determinism leg diffs
+/// this output across `--workers 1/2/4`.
 fn cmd_solve_central(
     opts: &HashMap<String, String>,
-    spec: AlgSpec,
-    info: &'static GeneratorInfo,
-    params: ParamMap,
+    alg: AlgSpec,
+    spec: &ScenarioSpec,
     seed: u64,
 ) -> Result<(), Failure> {
-    use freezetag::central::{anytime_wake_tree, optimal_makespan, AnytimeConfig};
-    use freezetag::sim::{CancelToken, ParPool, RobotId};
-    if info.adversarial {
-        return Err(format!(
-            "{} needs known positions; the adversarial generator '{}' has none",
-            spec.label(),
-            info.name
-        )
-        .into());
+    let workers = get_u(opts, "workers", 1)?;
+    if workers == 0 {
+        return Err("--workers must be at least 1".to_string().into());
     }
-    let inst = registry::build_instance(info.name, &params, seed).map_err(|e| e.to_string())?;
-    let items: Vec<(RobotId, freezetag::geometry::Point)> = inst
-        .positions()
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (RobotId::sleeper(i), p))
-        .collect();
-    match spec {
-        AlgSpec::Central(strategy) => {
-            let tree = strategy.build(inst.source(), &items);
+    let config = AnytimeConfig {
+        time_budget: option_seconds(opts, "time-budget", "--")?,
+        ..AnytimeConfig::default()
+    };
+    let pool = ParPool::new(workers);
+    let (inst, answer) = central_run(spec, alg, seed, &config, &pool, &CancelToken::never())?;
+    let head = format!("{} on n={}:", alg.label(), inst.n());
+    match answer {
+        CentralAnswer::Tree(tree) => {
             println!(
-                "{} on n={}: makespan {:.4}, total length {:.4}",
-                spec.label(),
-                inst.n(),
+                "{head} makespan {:.4}, total length {:.4}",
                 tree.makespan(),
                 tree.total_length()
             );
             println!("  tree digest {:#018x}", tree.digest());
         }
-        AlgSpec::CentralAnytime => {
-            let workers = get_u(opts, "workers", 1)?;
-            if workers == 0 {
-                return Err("--workers must be at least 1".to_string().into());
-            }
-            let time_budget = match opts.get("time-budget") {
-                None => None,
-                Some(raw) => {
-                    let secs: f64 = raw
-                        .parse()
-                        .map_err(|_| "--time-budget expects seconds (a number)".to_string())?;
-                    if secs <= 0.0 || !secs.is_finite() {
-                        return Err(format!("--time-budget must be positive, got {raw}").into());
-                    }
-                    let budget = std::time::Duration::try_from_secs_f64(secs)
-                        .map_err(|_| format!("--time-budget {raw} is too large for a duration"))?;
-                    Some(budget)
-                }
-            };
-            let config = AnytimeConfig {
-                time_budget,
-                ..AnytimeConfig::default()
-            };
-            let report = anytime_wake_tree(
-                inst.source(),
-                &items,
-                &config,
-                seed,
-                &ParPool::new(workers),
-                &CancelToken::never(),
-            );
+        CentralAnswer::Anytime(report) => {
             println!(
-                "{} on n={}: makespan {:.4} (initial {:.4}), total length {:.4}",
-                spec.label(),
-                inst.n(),
+                "{head} makespan {:.4} (initial {:.4}), total length {:.4}",
                 report.tree.makespan(),
                 report.initial_makespan,
                 report.tree.total_length()
@@ -398,55 +294,47 @@ fn cmd_solve_central(
             );
             println!("  tree digest {:#018x}", report.tree.digest());
         }
-        AlgSpec::CentralOptimal => {
-            if inst.n() > 10 {
-                return Err(
-                    format!("--alg optimal is branch-and-bound; n={} > 10", inst.n()).into(),
-                );
-            }
-            let m = optimal_makespan(inst.source(), inst.positions());
-            println!("{} on n={}: makespan {:.4}", spec.label(), inst.n(), m);
-        }
-        AlgSpec::Distributed { .. } => unreachable!("cmd_solve runs these through the engine"),
+        CentralAnswer::Optimal(m) => println!("{head} makespan {m:.4}"),
     }
     Ok(())
 }
 
 fn cmd_solve(opts: &HashMap<String, String>) -> Result<(), Failure> {
-    let (info, params) = resolve_generator("solve", opts, &["alg", "time-budget", "workers"])?;
-    let spec = alg_spec(opts)?;
-    let seed = get_u(opts, "seed", 1)? as u64;
-    if spec != AlgSpec::CentralAnytime {
+    let (spec, seed) = scenario(opts, &["alg", "time-budget", "workers"])?;
+    let alg = alg_spec(opts)?;
+    if alg != AlgSpec::CentralAnytime {
         for key in ["time-budget", "workers"] {
             if opts.contains_key(key) {
                 return Err(format!(
                     "--{key} only applies to --alg central-anytime, not {}",
-                    spec.label()
+                    alg.label()
                 )
                 .into());
             }
         }
     }
-    if let AlgSpec::Distributed { .. } = spec {
-        print_report(spec, &single_run(info, params, spec, seed)?);
+    if let AlgSpec::Distributed { .. } = alg {
+        print_report(alg, &Engine::default().single(&spec, alg, seed)?);
         Ok(())
     } else {
-        cmd_solve_central(opts, spec, info, params, seed)
+        cmd_solve_central(opts, alg, &spec, seed)
     }
 }
 
 fn cmd_compare(opts: &HashMap<String, String>) -> Result<(), Failure> {
-    let (info, params) = resolve_generator("compare", opts, &[])?;
-    let seed = get_u(opts, "seed", 1)? as u64;
+    let (spec, seed) = scenario(opts, &[])?;
+    let engine = Engine::default();
     for alg in [Algorithm::Separator, Algorithm::Grid, Algorithm::Wave] {
-        let spec = AlgSpec::from(alg);
-        print_report(spec, &single_run(info, params.clone(), spec, seed)?);
+        let alg = AlgSpec::from(alg);
+        print_report(alg, &engine.single(&spec, alg, seed)?);
     }
     Ok(())
 }
 
 fn cmd_params(opts: &HashMap<String, String>) -> Result<(), Failure> {
-    let inst = build_instance("params", opts, &[])?;
+    let (spec, seed) = scenario(opts, &[])?;
+    let inst =
+        registry::build_instance(&spec.generator, &spec.params, seed).map_err(ExpError::from)?;
     let p = inst.params(None);
     let tuple = AdmissibleTuple::rounded(p.ell_star, p.rho_star, inst.n())?;
     println!("n     = {}", inst.n());
@@ -458,14 +346,13 @@ fn cmd_params(opts: &HashMap<String, String>) -> Result<(), Failure> {
 }
 
 fn cmd_svg(opts: &HashMap<String, String>) -> Result<(), Failure> {
-    let (info, params) = resolve_generator("svg", opts, &["alg", "out"])?;
-    let spec = alg_spec(opts)?;
-    let seed = get_u(opts, "seed", 1)? as u64;
+    let (spec, seed) = scenario(opts, &["alg", "out"])?;
+    let alg = alg_spec(opts)?;
     let out = opts
         .get("out")
         .cloned()
         .unwrap_or_else(|| "dftp_run.svg".to_string());
-    let run = single_run(info, params, spec, seed)?;
+    let run = Engine::default().single(&spec, alg, seed)?;
     let svg = render_run(
         run.source,
         &run.positions,
@@ -479,7 +366,9 @@ fn cmd_svg(opts: &HashMap<String, String>) -> Result<(), Failure> {
 }
 
 fn cmd_generate(opts: &HashMap<String, String>) -> Result<(), Failure> {
-    let inst = build_instance("generate", opts, &["out"])?;
+    let (spec, seed) = scenario(opts, &["out"])?;
+    let inst =
+        registry::build_instance(&spec.generator, &spec.params, seed).map_err(ExpError::from)?;
     let csv = freezetag::instances::io::to_csv(&inst);
     match opts.get("out") {
         Some(path) => {
@@ -557,7 +446,7 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), Failure> {
         "bench-json",
         "resume",
     ]);
-    check_keys("sweep", opts, &allowed)?;
+    check_option_keys(opts, &allowed, "--")?;
     let plan = ExperimentPlan::from_options(opts, "sweep", "--")?;
     let threads = get_u(opts, "threads", 1)?;
     // Reject a bad --format / --flush-every (and an invalid plan) before
@@ -662,10 +551,10 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), Failure> {
 }
 
 fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), Failure> {
-    check_keys(
-        "serve",
+    check_option_keys(
         opts,
         &["port", "threads", "cache-capacity", "queue-depth"],
+        "--",
     )?;
     let port = get_u(opts, "port", 7333)?;
     let port = u16::try_from(port).map_err(|_| format!("--port {port} out of range"))?;

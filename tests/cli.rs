@@ -30,12 +30,8 @@ fn solve_separator_on_disk_succeeds() {
         "solve",
         "--alg",
         "separator",
-        "--gen",
-        "disk",
-        "--n",
-        "50",
-        "--radius",
-        "10",
+        "--scenario",
+        "disk:n=50:radius=10",
         "--seed",
         "1",
     ]);
@@ -53,7 +49,13 @@ fn solve_separator_on_disk_succeeds() {
 #[test]
 fn solve_is_deterministic_for_a_seed() {
     let args = [
-        "solve", "--alg", "grid", "--gen", "disk", "--n", "40", "--radius", "8", "--seed", "7",
+        "solve",
+        "--alg",
+        "grid",
+        "--scenario",
+        "disk:n=40:radius=8",
+        "--seed",
+        "7",
     ];
     let a = dftp(&args);
     let b = dftp(&args);
@@ -63,15 +65,7 @@ fn solve_is_deterministic_for_a_seed() {
 
 #[test]
 fn params_reports_instance_parameters() {
-    let out = dftp(&[
-        "params",
-        "--gen",
-        "lattice",
-        "--side",
-        "5",
-        "--spacing",
-        "1.5",
-    ]);
+    let out = dftp(&["params", "--scenario", "lattice:side=5:spacing=1.5"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     for needle in ["n     =", "ρ*", "ℓ*", "tuple"] {
@@ -81,17 +75,7 @@ fn params_reports_instance_parameters() {
 
 #[test]
 fn compare_runs_all_three_algorithms() {
-    let out = dftp(&[
-        "compare",
-        "--gen",
-        "snake",
-        "--legs",
-        "2",
-        "--leg",
-        "12",
-        "--spacing",
-        "1",
-    ]);
+    let out = dftp(&["compare", "--scenario", "snake:legs=2:leg=12:spacing=1"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     for alg in ["ASeparator", "AGrid", "AWave"] {
@@ -120,7 +104,7 @@ fn unknown_command_fails_with_usage() {
 
 #[test]
 fn unknown_algorithm_fails_with_usage() {
-    let out = dftp(&["solve", "--alg", "teleport", "--gen", "disk"]);
+    let out = dftp(&["solve", "--alg", "teleport", "--scenario", "disk"]);
     assert!(!out.status.success());
     let err = stderr(&out);
     assert!(err.contains("unknown algorithm"), "stderr: {err}");
@@ -129,23 +113,26 @@ fn unknown_algorithm_fails_with_usage() {
 
 #[test]
 fn malformed_flag_value_fails_with_usage() {
-    let out = dftp(&["solve", "--gen", "disk", "--n", "not-a-number"]);
+    let out = dftp(&["solve", "--scenario", "disk:n=not-a-number"]);
     assert!(!out.status.success());
     let err = stderr(&out);
-    assert!(err.contains("--n expects"), "stderr: {err}");
+    assert!(
+        err.contains("parameter 'n' expects a number"),
+        "stderr: {err}"
+    );
     assert!(err.contains("usage:"), "stderr: {err}");
 }
 
 #[test]
 fn dangling_flag_fails_with_usage() {
-    let out = dftp(&["solve", "--gen"]);
+    let out = dftp(&["solve", "--scenario"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("usage:"), "stderr: {}", stderr(&out));
 }
 
 #[test]
 fn unknown_option_fails_with_usage() {
-    let out = dftp(&["solve", "--gen", "disk", "--frobnicate", "3"]);
+    let out = dftp(&["solve", "--scenario", "disk", "--frobnicate", "3"]);
     assert!(!out.status.success(), "unknown options must be rejected");
     let err = stderr(&out);
     assert!(
@@ -157,18 +144,38 @@ fn unknown_option_fails_with_usage() {
 
 #[test]
 fn option_of_a_different_generator_is_rejected() {
-    // --radius belongs to disk/ring, not to the lattice generator.
-    let out = dftp(&["solve", "--gen", "lattice", "--radius", "5"]);
+    // radius belongs to disk/ring, not to the lattice generator.
+    let out = dftp(&["solve", "--scenario", "lattice:radius=5"]);
     assert!(!out.status.success());
     let err = stderr(&out);
-    assert!(err.contains("unknown option '--radius'"), "stderr: {err}");
+    assert!(err.contains("has no parameter 'radius'"), "stderr: {err}");
+    assert!(err.contains("usage:"), "stderr: {err}");
+}
+
+#[test]
+fn retired_generator_flags_are_unknown_options() {
+    // `--scenario` is the one scenario flag; `--gen` and the per-parameter
+    // flags error instead of being translated.
+    for (line, flag) in [
+        ("solve --gen disk", "--gen"),
+        ("solve --scenario disk --n 5", "--n"),
+    ] {
+        let out = dftp_line(line);
+        assert!(!out.status.success(), "{line} must be rejected");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("unknown option '{flag}'")),
+            "stderr: {err}"
+        );
+        assert!(err.contains("usage:"), "stderr: {err}");
+    }
 }
 
 #[test]
 fn strategy_on_non_separator_algorithm_is_rejected() {
     // Only ASeparator takes a Lemma 2 strategy; the sweep grammar has no
     // `grid:STRATEGY` form, so the override is rejected, never ignored.
-    let out = dftp(&["solve", "--alg", "grid:chain", "--gen", "disk"]);
+    let out = dftp(&["solve", "--alg", "grid:chain", "--scenario", "disk"]);
     assert!(!out.status.success(), "grid:chain must not be ignored");
     let err = stderr(&out);
     assert!(
@@ -185,12 +192,8 @@ fn solve_central_anytime_is_byte_identical_across_workers() {
             "solve",
             "--alg",
             "central-anytime",
-            "--gen",
-            "disk",
-            "--n",
-            "80",
-            "--radius",
-            "15",
+            "--scenario",
+            "disk:n=80:radius=15",
             "--seed",
             "4",
             "--workers",
@@ -221,7 +224,7 @@ fn solve_central_anytime_is_byte_identical_across_workers() {
 #[test]
 fn solve_central_anytime_pins_the_greedy_seeded_search() {
     let out = dftp_line(
-        "solve --alg central-anytime --gen disk --n 500 --radius 40 --seed 1 --workers 2",
+        "solve --alg central-anytime --scenario disk:n=500:radius=40 --seed 1 --workers 2",
     );
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert_eq!(
@@ -238,12 +241,8 @@ fn solve_central_strategy_and_optimal_run_without_the_simulator() {
         "solve",
         "--alg",
         "central:greedy",
-        "--gen",
-        "disk",
-        "--n",
-        "30",
-        "--radius",
-        "8",
+        "--scenario",
+        "disk:n=30:radius=8",
         "--seed",
         "2",
     ]);
@@ -252,7 +251,11 @@ fn solve_central_strategy_and_optimal_run_without_the_simulator() {
     assert!(text.contains("central[greedy] on n=30"), "{text}");
     assert!(text.contains("tree digest 0x"), "{text}");
     let out = dftp(&[
-        "solve", "--alg", "optimal", "--gen", "disk", "--n", "6", "--radius", "4",
+        "solve",
+        "--alg",
+        "optimal",
+        "--scenario",
+        "disk:n=6:radius=4",
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(
@@ -261,7 +264,7 @@ fn solve_central_strategy_and_optimal_run_without_the_simulator() {
         stdout(&out)
     );
     // Branch and bound is exponential: a large n is an error, not a hang.
-    let out = dftp(&["solve", "--alg", "optimal", "--gen", "disk", "--n", "50"]);
+    let out = dftp(&["solve", "--alg", "optimal", "--scenario", "disk:n=50"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("n=50 > 10"), "{}", stderr(&out));
 }
@@ -272,10 +275,8 @@ fn solve_central_anytime_rejects_zero_budget_and_zero_workers() {
         "solve",
         "--alg",
         "central-anytime",
-        "--gen",
-        "disk",
-        "--n",
-        "20",
+        "--scenario",
+        "disk:n=20",
     ];
     let mut zero_workers = base.to_vec();
     zero_workers.extend(["--workers", "0"]);
@@ -314,10 +315,8 @@ fn solve_rejects_an_oversized_time_budget_cleanly() {
         "solve",
         "--alg",
         "central-anytime",
-        "--gen",
-        "disk",
-        "--n",
-        "20",
+        "--scenario",
+        "disk:n=20",
         "--time-budget",
         "1e20",
     ]);
@@ -340,7 +339,7 @@ fn solve_central_option_combinations_are_validated() {
         "solve",
         "--alg",
         "central:greedy",
-        "--gen",
+        "--scenario",
         "disk",
         "--workers",
         "2",
@@ -355,7 +354,7 @@ fn solve_central_option_combinations_are_validated() {
         "solve",
         "--alg",
         "grid",
-        "--gen",
+        "--scenario",
         "disk",
         "--time-budget",
         "5",
@@ -371,10 +370,8 @@ fn solve_central_option_combinations_are_validated() {
         "solve",
         "--alg",
         "central-anytime",
-        "--gen",
-        "theorem2",
-        "--n",
-        "40",
+        "--scenario",
+        "theorem2:n=40",
     ]);
     assert!(!out.status.success());
     assert!(
@@ -393,10 +390,8 @@ fn solve_central_anytime_accepts_a_time_budget() {
         "solve",
         "--alg",
         "central-anytime",
-        "--gen",
-        "disk",
-        "--n",
-        "40",
+        "--scenario",
+        "disk:n=40",
         "--seed",
         "6",
         "--time-budget",
@@ -407,10 +402,8 @@ fn solve_central_anytime_accepts_a_time_budget() {
         "solve",
         "--alg",
         "central-anytime",
-        "--gen",
-        "disk",
-        "--n",
-        "40",
+        "--scenario",
+        "disk:n=40",
         "--seed",
         "6",
     ]);
@@ -423,14 +416,8 @@ fn solve_runs_adversarial_layouts_through_the_engine() {
         "solve",
         "--alg",
         "separator",
-        "--gen",
-        "theorem2",
-        "--ell",
-        "2",
-        "--rho",
-        "8",
-        "--n",
-        "40",
+        "--scenario",
+        "theorem2:ell=2:rho=8:n=40",
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
@@ -447,7 +434,15 @@ fn retired_solve_algorithm_flags_are_unknown_options() {
     // `--alg` is the one algorithm flag; the old `--strategy` and
     // `--algorithm` spellings error instead of being silently ignored.
     for (flag, value) in [("--algorithm", "central-anytime"), ("--strategy", "greedy")] {
-        let out = dftp(&["solve", "--alg", "separator", flag, value, "--gen", "disk"]);
+        let out = dftp(&[
+            "solve",
+            "--alg",
+            "separator",
+            flag,
+            value,
+            "--scenario",
+            "disk",
+        ]);
         assert!(!out.status.success(), "{flag} must be rejected");
         let err = stderr(&out);
         assert!(
@@ -471,7 +466,7 @@ fn report_makespan(text: &str) -> String {
 fn solve_separator_strategy_matches_the_engine_record() {
     use freezetag::central::WakeStrategy;
     use freezetag::exp::{AlgSpec, Engine, ScenarioSpec};
-    let out = dftp_line("solve --alg separator:greedy --gen disk --n 40 --radius 8 --seed 3");
+    let out = dftp_line("solve --alg separator:greedy --scenario disk:n=40:radius=8 --seed 3");
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("ASeparator[greedy] on n=40"), "{text}");
@@ -505,7 +500,7 @@ fn solve_on_a_shrunk_scale_family_reports_its_sweep_tuple() {
             .to_string()
     };
     let solve = dftp_line(&format!(
-        "solve --alg grid --gen uniform_1m --n 300 --radius 10 --seed {}",
+        "solve --alg grid --scenario uniform_1m:n=300:radius=10 --seed {}",
         field("seed")
     ));
     assert!(solve.status.success(), "stderr: {}", stderr(&solve));
@@ -519,7 +514,7 @@ fn solve_on_a_shrunk_scale_family_reports_its_sweep_tuple() {
 
 #[test]
 fn compare_and_svg_run_adversarial_layouts() {
-    let layout = "--gen theorem2 --ell 2 --rho 8 --n 20";
+    let layout = "--scenario theorem2:ell=2:rho=8:n=20";
     let out = dftp_line(&format!("compare {layout}"));
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
@@ -545,7 +540,7 @@ fn compare_and_svg_run_adversarial_layouts() {
     );
     // A centralized baseline has no trajectories to draw: a clean usage
     // error, not a panic.
-    let out = dftp(&["svg", "--alg", "central:greedy", "--gen", "disk"]);
+    let out = dftp(&["svg", "--alg", "central:greedy", "--scenario", "disk"]);
     assert!(!out.status.success());
     let err = stderr(&out);
     assert!(
@@ -818,12 +813,8 @@ fn generate_round_trips_through_the_csv_loader() {
     let path = std::env::temp_dir().join(format!("dftp_gen_{}.csv", std::process::id()));
     let out = dftp(&[
         "generate",
-        "--gen",
-        "disk",
-        "--n",
-        "12",
-        "--radius",
-        "4",
+        "--scenario",
+        "disk:n=12:radius=4",
         "--seed",
         "3",
         "--out",

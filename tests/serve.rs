@@ -261,6 +261,15 @@ fn bad_plans_and_unknown_routes_are_clean_errors() {
     assert!(status.contains("400"), "{status}");
     assert!(body.contains("\\u0001"), "{body}");
     assert!(!body.contains("\\u{"), "{body}");
+    // A length past the registry ceiling would never finish generating
+    // its instance; it is a plan error, not a job that cannot be stopped.
+    let (status, body) = post(
+        addr,
+        "/plans",
+        "scenarios=disk:n=5:radius=1e308&algs=central:quadtree&seeds=1",
+    );
+    assert!(status.contains("400"), "{status}");
+    assert!(body.contains("'radius'"), "{body}");
     let (status, _) = get(addr, "/plans/999");
     assert!(status.contains("404"), "{status}");
     let (status, _) = get(addr, "/nope");
