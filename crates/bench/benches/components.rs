@@ -8,7 +8,7 @@ use freezetag_central::{greedy_wake_tree, optimal_makespan, quadtree_wake_tree};
 use freezetag_geometry::{sweep, Point, Rect};
 use freezetag_graph::{connectivity_threshold, dijkstra, DiskGraph, GridIndex};
 use freezetag_instances::adversarial::theorem2_layout;
-use freezetag_instances::generators::uniform_disk;
+use freezetag_instances::generators::{clustered, uniform_disk};
 use freezetag_sim::RobotId;
 use std::hint::black_box;
 
@@ -65,6 +65,16 @@ fn bench_graph(c: &mut Criterion) {
             },
         );
     }
+    // Two dense clusters of 5·10⁴ whose bridge sets ℓ*: the layout the
+    // former δ-bracket made quadratic.
+    let pts = clustered(2, 50_000, 5.0, 200.0, 42).all_points();
+    g.bench_with_input(
+        BenchmarkId::new("connectivity_threshold_two_clusters", pts.len()),
+        &pts,
+        |b, pts| {
+            b.iter(|| black_box(connectivity_threshold(pts)));
+        },
+    );
     g.finish();
 }
 

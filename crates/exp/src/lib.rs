@@ -69,4 +69,6 @@ pub use emit::JobStreamWriter;
 pub use engine::{CacheStats, Engine, EngineConfig, JobStream, SubmitOptions};
 pub use error::ExpError;
 pub use plan::{derive_seed, AlgSpec, ExperimentPlan, JobSpec, Profile, ScenarioSpec};
-pub use runner::{central_run, inter_job_workers, CentralAnswer, JobResult, SingleRun};
+pub use runner::{
+    central_instance, central_run, inter_job_workers, CentralAnswer, JobResult, SingleRun,
+};

@@ -580,41 +580,57 @@ pub enum CentralAnswer {
     Optimal(f64),
 }
 
-/// The one centralized-baseline path, behind plan jobs and `dftp solve`:
-/// builds the scenario's instance and runs `alg` on its known positions.
-/// `config` reaches `central-anytime` only: plan jobs pass the default,
-/// whose fixed iteration budget keeps the answer a pure function of
-/// (instance, seed) at any `pool` width, as the Engine's thread-count-free
-/// cache key requires. The seed also drives the search streams, so
-/// repetitions explore independently while staying paired on the instance.
+/// The instance of the one centralized-baseline path, behind plan jobs
+/// and `dftp solve`: the scenario's instance, which `alg` needs with known
+/// positions. [`central_run`] then runs `alg` on it.
 ///
 /// # Errors
 ///
 /// Registry errors, or [`ExpError::Unsupported`] for an adversarial
-/// scenario (no known positions), `optimal` beyond `n = 10`, or a
+/// scenario.
+pub fn central_instance(
+    spec: &ScenarioSpec,
+    alg: AlgSpec,
+    seed: u64,
+) -> Result<Instance, ExpError> {
+    match build(spec, seed)? {
+        Built::Concrete(inst) => Ok(inst),
+        Built::Adversarial(_) => Err(ExpError::Unsupported(format!(
+            "scenario '{}' is adversarial but {} needs known positions",
+            spec.name,
+            alg.label()
+        ))),
+    }
+}
+
+/// Runs the centralized baseline `alg` on the known positions of `inst`,
+/// the [`central_instance`] of `spec`. `config` reaches `central-anytime`
+/// only: plan jobs pass the default, whose fixed iteration budget keeps
+/// the answer a pure function of (instance, seed) at any `pool` width, as
+/// the Engine's thread-count-free cache key requires. The seed also drives
+/// the search streams, so repetitions explore independently while staying
+/// paired on the instance.
+///
+/// # Errors
+///
+/// [`ExpError::Unsupported`] for `optimal` beyond `n = 10` or a
 /// distributed `alg`.
 pub fn central_run(
     spec: &ScenarioSpec,
+    inst: &Instance,
     alg: AlgSpec,
     seed: u64,
     config: &AnytimeConfig,
     pool: &ParPool,
     cancel: &CancelToken,
-) -> Result<(Instance, CentralAnswer), ExpError> {
-    let Built::Concrete(inst) = build(spec, seed)? else {
-        return Err(ExpError::Unsupported(format!(
-            "scenario '{}' is adversarial but {} needs known positions",
-            spec.name,
-            alg.label()
-        )));
-    };
+) -> Result<CentralAnswer, ExpError> {
     let items: Vec<(RobotId, Point)> = inst
         .positions()
         .iter()
         .enumerate()
         .map(|(i, &p)| (RobotId::sleeper(i), p))
         .collect();
-    let answer = match alg {
+    Ok(match alg {
         AlgSpec::Central(strategy) => CentralAnswer::Tree(strategy.build(inst.source(), &items)),
         AlgSpec::CentralAnytime => CentralAnswer::Anytime(anytime_wake_tree(
             inst.source(),
@@ -640,8 +656,7 @@ pub fn central_run(
                 alg.label()
             )))
         }
-    };
-    Ok((inst, answer))
+    })
 }
 
 /// The record of a centralized baseline job (`wall_time_s` is filled in
@@ -652,14 +667,17 @@ fn central_job(
     pool: &ParPool,
     cancel: &CancelToken,
 ) -> Result<JobResult, ExpError> {
+    let inst = central_instance(spec, job.algorithm, job.seed)?;
+    // Before the search, as distributed jobs do: an inadmissible declared
+    // ℓ fails at once.
+    let tuple = tuple_for(spec, &inst, pool)?;
     let config = AnytimeConfig::default();
-    let (inst, answer) = central_run(spec, job.algorithm, job.seed, &config, pool, cancel)?;
+    let answer = central_run(spec, &inst, job.algorithm, job.seed, &config, pool, cancel)?;
     let (makespan, total_energy) = match answer {
         CentralAnswer::Tree(tree) => (tree.makespan(), tree.total_length()),
         CentralAnswer::Anytime(report) => (report.tree.makespan(), report.tree.total_length()),
         CentralAnswer::Optimal(m) => (m, f64::NAN),
     };
-    let tuple = tuple_for(spec, &inst, pool)?;
     Ok(JobResult {
         job: job.index,
         scenario: spec.name.clone(),
@@ -712,5 +730,32 @@ mod tests {
         assert_eq!(inter_job_workers(7, 2, 100), 3, "rounds down: 6 <= 7");
         assert_eq!(inter_job_workers(16, 1, 3), 3, "never exceeds job count");
         assert_eq!(inter_job_workers(0, 0, 0), 1, "degenerate inputs clamp");
+    }
+
+    #[test]
+    fn central_jobs_check_the_tuple_before_the_search() {
+        // ρ* ≈ 10⁷ exceeds n·ℓ = 10³·4: inadmissible before any search.
+        let spec = ScenarioSpec::new("uniform_1m")
+            .with("n", 1000.0)
+            .with("radius", 1e7);
+        let job = JobSpec {
+            index: 0,
+            scenario: 0,
+            algorithm: AlgSpec::CentralAnytime,
+            seed_index: 0,
+            seed: 1,
+        };
+        // A fired token: a search that started would unwind as cancelled.
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let mut ctx = JobContext::new(cancel);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_job(&spec, &job, Profile::Stats, ParPool::new(1), &mut ctx)
+        }));
+        match out {
+            Ok(Err(ExpError::InvalidPlan(msg))) => assert!(msg.contains("uniform_1m"), "{msg}"),
+            Ok(other) => panic!("expected InvalidPlan, got {other:?}"),
+            Err(_) => panic!("the search ran before the tuple check and was cancelled"),
+        }
     }
 }

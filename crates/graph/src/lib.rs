@@ -40,6 +40,7 @@ mod cellgrid;
 mod cellmap;
 mod diskgraph;
 mod index;
+mod kdtree;
 pub mod kernel;
 mod params;
 mod traversal;

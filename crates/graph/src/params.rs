@@ -1,3 +1,4 @@
+use crate::kdtree::{Best, KdTree};
 use crate::{dijkstra, DiskGraph, GridIndex, UnionFind};
 use freezetag_geometry::Point;
 
@@ -16,15 +17,31 @@ pub fn radius(points: &[Point], source: usize) -> f64 {
 /// the point set is connected — the bottleneck (largest) edge of a minimum
 /// spanning tree, returned as the exact [`Point::dist`] of that edge.
 ///
-/// Near-linear on the benchmark's point sets. A doubling search from the
-/// density estimate `sqrt(area / n)` brackets `ℓ*` in `(lo, 2·lo]` with
-/// grid connectivity tests; Kruskal then joins the components of the
-/// `lo`-disk graph using only the cross-component pairs no longer than
-/// `2·lo`. Every step decides with the definition's own `dist ≤ δ`
-/// predicate, so the value is bit-identical to an `O(n²)` Prim pass over
-/// all pairs (the unit tests keep Prim as the oracle). Point sets whose
-/// bottleneck is contested by many near-equal pairs between two dense
-/// clusters degrade towards quadratic distance work, never beyond it.
+/// Three exact steps:
+///
+/// 1. `L`, the largest nearest-neighbour distance, found on a k-d tree.
+///    Every point's spanning-tree edges are at least its nearest-neighbour
+///    distance, so `L ≤ ℓ*`.
+/// 2. The components of the `L`-disk graph, found in linear time on a grid
+///    of clique cells. When that graph is connected, `ℓ* = L`. This
+///    certificate usually holds on random swarms (Penrose: the longest
+///    spanning-tree edge of a random point set is, with high probability,
+///    its longest nearest-neighbour edge).
+/// 3. Otherwise Borůvka rounds join the components on the same tree (the
+///    EMST of March, Ram and Gray, queried one point at a time): every
+///    component but the largest finds its nearest foreign point, and
+///    subtrees inside the querying component are pruned whole. Each joining edge is the
+///    shortest edge leaving some component, so no longer than `ℓ*`, and
+///    the edges connect the set: `ℓ*` is the larger of `L` and the longest
+///    joining edge.
+///
+/// Uniform disks, lattices and two dense clusters all take under
+/// `n·⌈log₂ n⌉` pair distance evaluations (a unit test bounds the count).
+///
+/// Every decision uses the definition's own [`Point::dist`] (pruning only
+/// with conservative lower bounds), so the value is bit-identical to an
+/// `O(n²)` Prim pass over all pairs (the unit tests keep Prim as the
+/// oracle).
 ///
 /// Returns 0 for empty, singleton and all-coincident sets.
 pub fn connectivity_threshold(points: &[Point]) -> f64 {
@@ -36,64 +53,67 @@ pub fn connectivity_threshold(points: &[Point]) -> f64 {
         min = Point::new(min.x.min(p.x), min.y.min(p.y));
         max = Point::new(max.x.max(p.x), max.y.max(p.y));
     }
-    let (w, h) = (max.x - min.x, max.y - min.y);
-    if w == 0.0 && h == 0.0 {
+    let spread = (max.x - min.x).max(max.y - min.y);
+    if spread == 0.0 {
         return 0.0;
     }
-    let n = points.len() as f64;
-    // Density estimate, floored at the spread over n for (near-)collinear
-    // sets whose box has no area.
-    let delta = ((w / n).sqrt() * h.sqrt()).max(w.max(h) / n);
-    // Bucket relative to the bounding-box corner. Every tested δ is at
-    // least max(w, h) / 2n (a spanning tree crosses the box in n - 1
-    // hops of length ≤ ℓ*), so cell keys stay below ~4n and their
-    // rounding error stays a vanishing fraction of a cell at any offset.
-    let local: Vec<Point> = points.iter().map(|&p| p - min).collect();
-    let mut test = Layer::build(points, &local, delta);
-    let below = if test.connected {
-        loop {
-            test = Layer::build(points, &local, 0.5 * test.delta);
-            if !test.connected {
-                break test;
-            }
+    let tree = KdTree::build(points);
+    let nearest = tree.max_nearest_neighbour();
+    // A connected L-disk graph crosses the bounding box in at most n - 1
+    // hops of length ≤ L. Past twice that (L = 0 included) the graph is
+    // disconnected and its cells would be too fine to key exactly, so
+    // Borůvka starts from singletons; so it does when L overflows.
+    let conditioned = nearest >= f64::MIN_POSITIVE && nearest.is_finite();
+    let components = if conditioned && spread <= 2.0 * points.len() as f64 * nearest {
+        let components = disk_components(points, min, nearest);
+        if components.components() == 1 {
+            #[cfg(test)]
+            probe::record(|p| p.certified += 1);
+            return nearest;
         }
+        components
     } else {
-        loop {
-            let up = Layer::build(points, &local, 2.0 * test.delta);
-            if up.connected {
-                break test;
-            }
-            test = up;
-        }
+        UnionFind::new(points.len())
     };
-    below.bottleneck_within_twice(points)
+    #[cfg(test)]
+    probe::record(|p| p.fell_back += 1);
+    nearest.max(boruvka(&tree, components))
 }
 
-/// The δ-disk graph's components, found on a grid of δ/2-wide cells.
+/// Components of the δ-disk graph over `points`, whose bounding box has its
+/// lower corner at `corner`, found on a grid of clique cells. Each
+/// merge joins two points no more than δ apart; a cell pair whose link is
+/// not found cheaply stays apart, which costs [`boruvka`] a little time
+/// and never changes its answer.
 ///
-/// A cell's diagonal (≈ 0.71 δ) is within reach, so every cell is a
-/// clique: its points are merged without a distance check, and two cells
-/// are merged at their first pair with `dist ≤ δ`.
-struct Layer {
-    delta: f64,
-    grid: GridIndex,
-    /// Components of the δ-disk graph over the point indices.
-    components: UnionFind,
-    connected: bool,
-}
-
-impl Layer {
-    fn build(points: &[Point], local: &[Point], delta: f64) -> Layer {
-        let grid = GridIndex::build(local, 0.5 * delta);
-        let mut uf = UnionFind::new(points.len());
-        grid.for_each_cell(|_, cell| {
-            for &p in &cell[1..] {
-                uf.union(cell[0] as usize, p as usize);
-            }
-        });
-        let reach = forward_window(2);
+/// Cells are `0.7 δ` wide, so a cell's diagonal (≈ 0.99 δ) is within
+/// reach and every cell is a clique: its points are merged without a
+/// distance check. Cell pairs are then visited ring by ring, nearest first,
+/// so most far pairs are already joined through near ones; a pair is
+/// merged at its first point pair with `dist ≤ δ`, and gives up after
+/// `|a| + |b|` tests, which keeps the pass linear when two crowded cells
+/// have no pair within reach.
+fn disk_components(points: &[Point], corner: Point, delta: f64) -> UnionFind {
+    // Bucket relative to the bounding-box corner: cell keys stay below ~3n,
+    // so their rounding error stays a vanishing fraction of a cell at any
+    // offset.
+    let width = 0.7 * delta;
+    let keys: Vec<(i64, i64)> = points
+        .iter()
+        .map(|&p| GridIndex::cell_key(p - corner, width))
+        .collect();
+    let grid = GridIndex::build_from_keys(points, width, &keys);
+    drop(keys);
+    let mut uf = UnionFind::new(points.len());
+    grid.for_each_cell(|_, cell| {
+        for &p in &cell[1..] {
+            uf.union(cell[0] as usize, p as usize);
+        }
+    });
+    let window = forward_window();
+    for ring in window.chunk_by(|&x, &y| ring(x) == ring(y)) {
         grid.for_each_cell(|key, a| {
-            for &(di, dj) in &reach {
+            for &(di, dj) in ring {
                 if uf.components() == 1 {
                     return;
                 }
@@ -101,86 +121,130 @@ impl Layer {
                 if b.is_empty() || uf.connected(a[0] as usize, b[0] as usize) {
                     continue;
                 }
-                let linked = a.iter().any(|&p| {
-                    b.iter()
-                        .any(|&q| points[p as usize].dist(points[q as usize]) <= delta)
-                });
+                let linked = a
+                    .iter()
+                    .flat_map(|&p| b.iter().map(move |&q| (p, q)))
+                    .take(a.len() + b.len())
+                    .any(|(p, q)| {
+                        #[cfg(test)]
+                        probe::record(|p| p.pairs += 1);
+                        points[p as usize].dist(points[q as usize]) <= delta
+                    });
                 if linked {
                     uf.union(a[0] as usize, b[0] as usize);
                 }
             }
         });
-        Layer {
-            delta,
-            grid,
-            connected: uf.components() == 1,
-            components: uf,
-        }
     }
-
-    /// `ℓ*` for a disconnected layer whose doubled `δ` connects: Kruskal
-    /// over the layer's components with the shortest pair of every
-    /// cross-component cell pair within `2δ` as the candidate edges. Both
-    /// cells of a pair are cliques of the layer, so no other pair of theirs
-    /// can matter.
-    fn bottleneck_within_twice(self, points: &[Point]) -> f64 {
-        let Layer {
-            delta,
-            grid,
-            components: mut uf,
-            ..
-        } = self;
-        let hi = 2.0 * delta;
-        let mut edges: Vec<(f64, u32, u32)> = Vec::new();
-        // 2δ spans four δ/2-wide cells.
-        let reach = forward_window(4);
-        grid.for_each_cell(|key, a| {
-            for &(di, dj) in &reach {
-                let b = grid.cell_members((key.0 + di, key.1 + dj));
-                if b.is_empty() || uf.connected(a[0] as usize, b[0] as usize) {
-                    continue;
-                }
-                let shortest = a
-                    .iter()
-                    .flat_map(|&p| b.iter().map(move |&q| (p, q)))
-                    .map(|(p, q)| points[p as usize].dist(points[q as usize]))
-                    .fold(f64::INFINITY, f64::min);
-                if shortest <= hi {
-                    edges.push((shortest, a[0], b[0]));
-                }
-            }
-        });
-        edges.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
-        let mut bottleneck = 0.0;
-        for (d, a, b) in edges {
-            if uf.union(a as usize, b as usize) {
-                bottleneck = d;
-                if uf.components() == 1 {
-                    break;
-                }
-            }
-        }
-        debug_assert_eq!(uf.components(), 1, "2δ-disk graph must connect");
-        bottleneck
-    }
+    uf
 }
 
 /// Cell offsets `(di, dj)`, one per unordered pair of distinct cells, that
-/// can hold two points within `reach` cell widths of each other. Two cells
-/// `d` apart along an axis hold points more than `d - 1` widths apart on
-/// it; the extra ring (`|d| = reach + 1`) absorbs the key rounding of a
-/// pair that sits exactly `reach` widths apart.
-fn forward_window(reach: i64) -> Vec<(i64, i64)> {
-    let gap = |d: i64| (d.abs() - 1).max(0);
-    let mut out = Vec::new();
-    for dj in 0..=reach + 1 {
-        for di in -(reach + 1)..=reach + 1 {
-            if (dj > 0 || di > 0) && gap(di).pow(2) + gap(dj).pow(2) <= reach * reach {
-                out.push((di, dj));
+/// can hold two points within δ of each other, nearest [`ring`] first. Two
+/// cells `d` apart along an axis hold points more than `(|d| - 1)·0.7 δ`
+/// apart on it, so only cells within two of each other on both axes can
+/// link (`√2 · 0.7 < 1 < 2 · 0.7`).
+fn forward_window() -> Vec<(i64, i64)> {
+    let mut out: Vec<(i64, i64)> = (0..=2)
+        .flat_map(|dj| (-2..=2).map(move |di| (di, dj)))
+        .filter(|&(di, dj)| dj > 0 || di > 0)
+        .collect();
+    out.sort_by_key(|&offset| ring(offset));
+    out
+}
+
+/// Whole empty cells between two cells at `offset`, summed over the axes.
+fn ring((di, dj): (i64, i64)) -> i64 {
+    (di.abs() - 1).max(0) + (dj.abs() - 1).max(0)
+}
+
+/// `ℓ*` from a partition of the points into sets each connected by edges no
+/// longer than `ℓ*`: Borůvka rounds join the sets until one is left, and
+/// the longest joining edge is returned (0 when `uf` is already one set).
+fn boruvka(tree: &KdTree, mut uf: UnionFind) -> f64 {
+    const UNSEEN: u32 = u32::MAX;
+    let n = uf.len();
+    // Each round numbers the components densely: `comp` per tree position,
+    // `dense` per union-find root (reset after the round).
+    let mut comp = vec![0u32; n];
+    let mut dense = vec![UNSEEN; n];
+    let mut labels = vec![0u32; tree.node_count()];
+    let mut stack = Vec::new();
+    let mut longest: f64 = 0.0;
+    while uf.components() > 1 {
+        let (mut roots, mut size) = (Vec::new(), Vec::new());
+        for (k, c) in (0..).zip(comp.iter_mut()) {
+            let root = uf.find(tree.input_index(k));
+            if dense[root] == UNSEEN {
+                dense[root] = roots.len() as u32;
+                roots.push(root);
+                size.push(0u32);
+            }
+            *c = dense[root];
+            size[*c as usize] += 1;
+        }
+        for &root in &roots {
+            dense[root] = UNSEEN;
+        }
+        let largest = (0..roots.len())
+            .max_by_key(|&c| size[c])
+            .expect("two or more components");
+        tree.label(&comp, &mut labels);
+        let mut best = vec![Best::NONE; roots.len()];
+        for k in 0..n as u32 {
+            let c = comp[k as usize] as usize;
+            if c != largest {
+                tree.nearest_foreign(k, &comp, &labels, &mut best[c], &mut stack);
+            }
+        }
+        for (c, edge) in best.into_iter().enumerate() {
+            if c == largest {
+                continue;
+            }
+            if edge.dist == f64::INFINITY {
+                // Every distance out of this component overflows.
+                return f64::INFINITY;
+            }
+            if uf.union(tree.input_index(edge.from), tree.input_index(edge.to)) {
+                longest = longest.max(edge.dist);
             }
         }
     }
-    out
+    longest
+}
+
+/// Per-thread counters of the threshold's work and of the path it took,
+/// for the unit tests' work bounds and path coverage.
+#[cfg(test)]
+pub(crate) mod probe {
+    use std::cell::Cell;
+
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(crate) struct Probe {
+        /// Point pairs whose distance (or squared distance) was evaluated.
+        pub(crate) pairs: u64,
+        /// Calls answered by the nearest-neighbour certificate.
+        pub(crate) certified: u32,
+        /// Calls that ran Borůvka rounds.
+        pub(crate) fell_back: u32,
+    }
+
+    thread_local! {
+        static PROBE: Cell<Probe> = Cell::new(Probe::default());
+    }
+
+    pub(crate) fn record(f: impl FnOnce(&mut Probe)) {
+        PROBE.with(|c| {
+            let mut p = c.get();
+            f(&mut p);
+            c.set(p);
+        });
+    }
+
+    /// This thread's counters since the last call, which resets them.
+    pub(crate) fn take() -> Probe {
+        PROBE.with(|c| c.take())
+    }
 }
 
 /// ℓ-eccentricity `ξ_ℓ`: the minimum weighted depth of a spanning tree of
@@ -457,6 +521,28 @@ mod tests {
                 );
             }
 
+            /// Up to four blobs of random size at offsets up to 10³ apart,
+            /// a quarter of the sets with every point doubled: both the
+            /// certificate and the Borůvka fallback meet Prim bit for bit.
+            /// Run by [`both_paths_match_prim_on_clustered_sets`].
+            fn clustered_threshold_matches_prim(
+                raw in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0, 0usize..4), 2..80),
+                centres in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 4..5),
+                log_gap in -1.0f64..3.0,
+                doubled in 0u32..4,
+            ) {
+                let gap = 10f64.powf(log_gap);
+                let pts: Vec<Point> = raw
+                    .iter()
+                    .map(|&(x, y, c)| Point::new(centres[c].0 * gap + x, centres[c].1 * gap + y))
+                    .flat_map(|p| std::iter::repeat_n(p, if doubled == 0 { 2 } else { 1 }))
+                    .collect();
+                prop_assert_eq!(
+                    connectivity_threshold(&pts).to_bits(),
+                    prim_threshold(&pts).to_bits()
+                );
+            }
+
             /// Proposition 1 needs the ℓ*-disk graph connected: ξ_ℓ at ℓ*
             /// is finite at scales up to 10¹², where `2·ℓ*·EPS` is far
             /// below an ulp of `ℓ*²`.
@@ -474,6 +560,145 @@ mod tests {
                 prop_assert!(eccentricity(&pts, 0, ell).is_some(), "ℓ* = {}", ell);
             }
         }
+
+        #[test]
+        fn both_paths_match_prim_on_clustered_sets() {
+            probe::take();
+            clustered_threshold_matches_prim();
+            let p = probe::take();
+            assert!(p.certified > 0 && p.fell_back > 0, "{p:?}");
+        }
+    }
+
+    /// What one `connectivity_threshold` call did, checked against Prim.
+    fn oracle_probe(points: &[Point]) -> probe::Probe {
+        probe::take();
+        assert_oracle(points);
+        probe::take()
+    }
+
+    fn assert_falls_back(points: &[Point]) {
+        let p = oracle_probe(points);
+        assert_eq!((p.certified, p.fell_back), (0, 1), "{p:?}");
+    }
+
+    fn shifted(points: &[Point], by: Point) -> impl Iterator<Item = Point> + '_ {
+        points.iter().map(move |&p| p + by)
+    }
+
+    #[test]
+    fn fallback_on_a_mutual_nearest_pair_far_from_the_rest() {
+        for seed in 0..10 {
+            let mut pts = scattered(60, 5.0, seed);
+            pts.extend([Point::new(40.0, 40.0), Point::new(40.3, 40.1)]);
+            assert_falls_back(&pts);
+        }
+    }
+
+    #[test]
+    fn fallback_on_isolated_pairs() {
+        for seed in 0..10 {
+            let mut u = unit_stream(seed);
+            let pts: Vec<Point> = (0..25)
+                .flat_map(|_| {
+                    let p = Point::new(u() * 1e3, u() * 1e3);
+                    [p, p + Point::new(0.01 + 0.1 * u(), 0.05 * u())]
+                })
+                .collect();
+            assert_falls_back(&pts);
+        }
+    }
+
+    #[test]
+    fn fallback_on_two_far_clusters_without_a_bridge() {
+        for (seed, gap) in [3.0, 10.0, 1e3, 1e6].into_iter().enumerate() {
+            let mut pts = scattered(80, 2.0, seed as u64);
+            let far = scattered(80, 2.0, 100 + seed as u64);
+            pts.extend(shifted(&far, Point::new(gap, 0.5 * gap)));
+            assert_falls_back(&pts);
+        }
+    }
+
+    #[test]
+    fn fallback_on_three_to_six_components() {
+        for k in 3..=6u64 {
+            let mut pts = Vec::new();
+            for c in 0..k {
+                let blob = scattered(20 + 7 * c as usize, 1.0 + c as f64, 10 * k + c);
+                let angle = c as f64 * 2.4;
+                let centre = Point::new(angle.cos(), angle.sin()) * (15.0 * (c + 1) as f64);
+                pts.extend(shifted(&blob, centre));
+            }
+            assert_falls_back(&pts);
+        }
+    }
+
+    #[test]
+    fn fallback_on_doubled_sets_where_the_nearest_neighbour_is_zero() {
+        for seed in 0..10 {
+            let pts: Vec<Point> = scattered(40, 10.0, seed)
+                .into_iter()
+                .flat_map(|p| [p, p])
+                .collect();
+            assert_falls_back(&pts);
+        }
+    }
+
+    #[test]
+    fn certificate_on_a_uniform_set() {
+        let p = oracle_probe(&scattered(400, 20.0, 7));
+        assert_eq!((p.certified, p.fell_back), (1, 0), "{p:?}");
+    }
+
+    #[test]
+    fn oracle_on_overflowing_distances() {
+        assert_oracle(&[
+            Point::new(-1e308, 0.0),
+            Point::new(1e308, 0.0),
+            Point::new(1e308, 1.0),
+        ]);
+    }
+
+    /// Point pairs whose distance one call evaluated, against `C·n·⌈log₂ n⌉`.
+    fn assert_n_log_n(points: &[Point]) {
+        const C: u64 = 1;
+        probe::take();
+        connectivity_threshold(points);
+        let pairs = probe::take().pairs;
+        let n = points.len() as u64;
+        let bound = C * n * u64::from(n.ilog2() + 1);
+        assert!(
+            pairs <= bound,
+            "{pairs} pair evaluations on {n} points (bound {bound})"
+        );
+    }
+
+    #[test]
+    fn distance_evaluations_stay_within_n_log_n() {
+        use freezetag_instances::generators::{clustered, uniform_disk};
+        assert_n_log_n(&clustered(2, 5000, 5.0, 200.0, 1).all_points());
+        assert_n_log_n(&uniform_disk(10_000, 100.0, 1).all_points());
+        let side = 100;
+        assert_n_log_n(
+            &(0..side * side)
+                .map(|k| Point::new((k % side) as f64, (k / side) as f64))
+                .collect::<Vec<_>>(),
+        );
+    }
+
+    /// Two clusters of 5·10⁴ robots, dense enough that the former δ-bracket
+    /// tested every cross pair (3.3 s). A release-build timing case: CI
+    /// runs it under a wall-clock budget.
+    #[test]
+    #[ignore = "release-build timing case"]
+    fn two_dense_clusters_at_scale() {
+        let pts = freezetag_instances::generators::clustered(2, 50_000, 5.0, 200.0, 1).all_points();
+        assert_n_log_n(&pts);
+        // The bridge links of 5 + 2.8e-14, as the former algorithm found.
+        assert_eq!(
+            connectivity_threshold(&pts).to_bits(),
+            0x4014_0000_0000_0020
+        );
     }
 
     #[test]

@@ -25,8 +25,8 @@ use freezetag::central::AnytimeConfig;
 use freezetag::core::{bounds, Algorithm};
 use freezetag::exp::plan::{check_option_keys, option_seconds};
 use freezetag::exp::{
-    agg, central_run, emit, journal, serve, AlgSpec, CentralAnswer, Engine, EngineConfig, ExpError,
-    ExperimentPlan, ScenarioSpec, SingleRun, SubmitOptions,
+    agg, central_instance, central_run, emit, journal, serve, AlgSpec, CentralAnswer, Engine,
+    EngineConfig, ExpError, ExperimentPlan, ScenarioSpec, SingleRun, SubmitOptions,
 };
 use freezetag::instances::registry;
 use freezetag::instances::AdmissibleTuple;
@@ -245,10 +245,10 @@ fn print_report(alg: AlgSpec, run: &SingleRun) {
 }
 
 /// `dftp solve --alg central:*|central-anytime|optimal`: the centralized
-/// baselines through [`central_run`], the plan jobs' path, with
-/// `--time-budget` and `--workers` reaching `central-anytime`. Prints the
-/// tree digest so runs are byte-comparable — the CI determinism leg diffs
-/// this output across `--workers 1/2/4`.
+/// baselines through [`central_instance`] and [`central_run`], the plan
+/// jobs' path, with `--time-budget` and `--workers` reaching
+/// `central-anytime`. Prints the tree digest so runs are byte-comparable —
+/// the CI determinism leg diffs this output across `--workers 1/2/4`.
 fn cmd_solve_central(
     opts: &HashMap<String, String>,
     alg: AlgSpec,
@@ -264,7 +264,16 @@ fn cmd_solve_central(
         ..AnytimeConfig::default()
     };
     let pool = ParPool::new(workers);
-    let (inst, answer) = central_run(spec, alg, seed, &config, &pool, &CancelToken::never())?;
+    let inst = central_instance(spec, alg, seed)?;
+    let answer = central_run(
+        spec,
+        &inst,
+        alg,
+        seed,
+        &config,
+        &pool,
+        &CancelToken::never(),
+    )?;
     let head = format!("{} on n={}:", alg.label(), inst.n());
     match answer {
         CentralAnswer::Tree(tree) => {
